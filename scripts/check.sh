@@ -159,9 +159,9 @@ elif [[ "${mode}" == "quick" ]]; then
 elif [[ "${mode}" == "tsan" ]]; then
     cd "${build_dir}"
     tsan_start=${SECONDS}
-    # The TSan contract (ISSUE 6): the quick-label suites (which
-    # include the BoundedQueue stress tests and sf-lint) plus the
-    # streaming-engine suite run with zero unsuppressed reports.
+    # The TSan contract: the quick-label suites (which include the
+    # QosQueue stress tests and sf-lint) plus the
+    # streaming-engine suites run with zero unsuppressed reports.
     # NB: ctest's bare `-j` (no value) swallows the next flag on
     # CMake < 3.29, silently dropping the label filter — always pass
     # an explicit job count here.

@@ -16,16 +16,18 @@ Seven rules, each encoding a correctness contract of this codebase:
                            std::condition_variable, ...) outside
                            src/common/, src/stream/ and src/fleet/.
                            Everything else must go through the
-                           sanctioned wrappers (parallelFor, Memo,
-                           BoundedQueue) so the TSan-audited surface
-                           stays small.
+                           sanctioned wrappers (parallelFor, Memo)
+                           so the TSan-audited surface stays small.
                            std::thread::hardware_concurrency() is
                            allowed anywhere: it is a query, not a
                            primitive.
 
-  fleet-wait-discipline    src/fleet/ may use concurrency primitives,
-                           but every blocking condition_variable wait
-                           there must be woken by close()/shutdown:
+  fleet-wait-discipline    src/fleet/ and the decision pool's queue
+                           and worker loop (src/stream/qos_queue.hpp,
+                           src/stream/decision_pool.*) may use
+                           concurrency primitives, but every blocking
+                           condition_variable wait there must be
+                           woken by close()/shutdown:
                            its predicate has to consult the closed/
                            shutdown flag (or the wait must carry a
                            deadline via wait_for/wait_until).  A wait
@@ -240,8 +242,8 @@ def rule_concurrency_containment(root: Path, findings: List[Finding]):
                 Finding(rule, f"{rel}:{line_of(text, m.start())}",
                         f"raw {m.group(0)} outside src/common//"
                         "src/stream//src/fleet/; use the wrappers "
-                        "there (parallelFor, Memo, BoundedQueue) so "
-                        "the TSan-audited surface stays contained"))
+                        "there (parallelFor, Memo) so the "
+                        "TSan-audited surface stays contained"))
 
 
 # ------------------------------------------------------------------ #
@@ -264,12 +266,28 @@ def _balanced_call_args(text: str, open_paren: int) -> str:
     return text[open_paren + 1 :]
 
 
+# The pool's queue and worker loop, named one by one: the rest of
+# src/stream/ keeps close-less waits by design (CompletionBoard::await
+# waits for a completion the event loop itself armed).
+POOL_WAIT_FILES = [
+    "src/stream/qos_queue.hpp",
+    "src/stream/decision_pool.hpp",
+    "src/stream/decision_pool.cpp",
+]
+
+
 def rule_fleet_wait_discipline(root: Path, findings: List[Finding]):
     rule = "fleet-wait-discipline"
     fleet = root / "src" / "fleet"
-    if not fleet.exists():
-        return
-    for path in sorted(fleet.rglob("*")):
+    paths = sorted(fleet.rglob("*")) if fleet.exists() else []
+    for rel in POOL_WAIT_FILES:
+        if not (root / rel).exists():
+            findings.append(
+                Finding(rule, rel, "named pool file is missing; update "
+                        "POOL_WAIT_FILES so the rule keeps covering it"))
+        else:
+            paths.append(root / rel)
+    for path in paths:
         if path.suffix not in (".hpp", ".cpp"):
             continue
         rel = path.relative_to(root).as_posix()

@@ -25,7 +25,7 @@
  *    the session exceeds its quota — no chunk is ever discarded;
  *  - QoS: clinical Stat sessions preempt Research at every dispatch,
  *    with a statBurst starvation bound for the Research class (see
- *    QosBoundedQueue);
+ *    stream::QosQueue);
  *  - observability: snapshot() is safe to call mid-run and reports
  *    aggregate chunk throughput, per-session queue depth and progress,
  *    SIMD lane occupancy and the per-class dispatch split, as a struct
@@ -42,13 +42,17 @@
 #include <thread>
 #include <vector>
 
-#include "fleet/qos_queue.hpp"
 #include "sdtw/filter.hpp"
 #include "signal/read.hpp"
-#include "stream/decision_service.hpp"
+#include "stream/decision_pool.hpp"
 #include "stream/session.hpp"
 
 namespace sf::fleet {
+
+// The QoS vocabulary lives with the pool's queue in stream/.
+using stream::kQosClasses;
+using stream::QosClass;
+using stream::qosClassName;
 
 /** Shared worker-pool and admission configuration. */
 struct FleetConfig
@@ -68,15 +72,6 @@ struct FleetConfig
     /** Research starvation bound: a queued Research dispatch waits at
         most this many consecutive Stat dispatches.  Must be >= 1. */
     std::size_t statBurst = 4;
-    /**
-     * Batching linger: once a worker sees its first queued request it
-     * waits up to this long for the batch to fill before dispatching
-     * (0 = pop eagerly).  Sessions re-queue within microseconds of a
-     * completed dispatch; without the linger a worker shreds those
-     * co-arriving requests into ragged sub-width serial folds.  Pure
-     * wall-clock tuning — decision logs are unaffected.
-     */
-    std::size_t dispatchLingerUs = 250;
     /** Fold cross-session dispatches as SIMD lane batches. */
     bool laneBatching = true;
     /**
@@ -207,11 +202,10 @@ struct FleetResult
  * Usage: construct, addSession() each flowcell, run() once.
  * snapshot() may be called from any thread while run() is in flight.
  */
-class FleetOrchestrator final : public stream::DecisionService
+class FleetOrchestrator
 {
   public:
     explicit FleetOrchestrator(FleetConfig config);
-    ~FleetOrchestrator() override;
 
     FleetOrchestrator(const FleetOrchestrator &) = delete;
     FleetOrchestrator &operator=(const FleetOrchestrator &) = delete;
@@ -236,9 +230,6 @@ class FleetOrchestrator final : public stream::DecisionService
         an empty snapshot rather than racing addSession(). */
     FleetSnapshot snapshot() const;
 
-    /** DecisionService: called by the sessions' event loops. */
-    bool submit(stream::DecisionRequest request) override;
-
     /** The configuration in effect. */
     const FleetConfig &config() const { return config_; }
 
@@ -252,21 +243,8 @@ class FleetOrchestrator final : public stream::DecisionService
         explicit SessionState(SessionSpec s) : spec(std::move(s)) {}
     };
 
-    /** One worker's decision engines, one per backend kind a fleet
-        session may request (the asic slot stays null in an
-        all-software fleet).  Constructed on the run() thread so a
-        fatal configuration never fires inside a worker. */
-    struct WorkerBackendSet
-    {
-        std::array<std::unique_ptr<stream::DecisionBackend>,
-                   stream::kDecisionBackendKinds>
-            byKind;
-    };
-
-    void workerMain(WorkerBackendSet &backends);
-
     FleetConfig config_;
-    QosBoundedQueue<stream::DecisionRequest> queue_;
+    stream::DecisionPool pool_;
     std::vector<std::unique_ptr<SessionState>> sessions_;
     /** Design point shared by every Asic session (addSession enforces
         uniformity: one modelled chip per fleet, like the kernel
@@ -277,17 +255,6 @@ class FleetOrchestrator final : public stream::DecisionService
     std::atomic<bool> started_{false};
     std::atomic<bool> finished_{false};
     std::chrono::steady_clock::time_point runStart_{};
-
-    // Pool-level telemetry, updated per dispatch by the workers.
-    std::atomic<std::uint64_t> dispatches_{0};
-    std::atomic<std::uint64_t> dispatchedRequests_{0};
-    std::array<std::atomic<std::uint64_t>, kQosClasses>
-        dispatchesByClass_{};
-    std::array<std::atomic<std::uint64_t>,
-               stream::kDecisionBackendKinds>
-        requestsByBackend_{};
-    std::atomic<std::uint64_t> laneJobs_{0};
-    std::atomic<std::uint64_t> laneSlots_{0};
     std::atomic<double> wallSecondsFinal_{0.0};
 };
 

@@ -18,21 +18,24 @@ modelDecision(const stream::AsicSpec &spec, std::uint64_t rows_folded,
     if (L == 0 || M == 0)
         return model; // no stage boundary crossed: no DP work
     constexpr std::uint64_t kCell = SystolicArray::kCheckpointBytesPerCell;
-    model.cycles = 2 * L; // normalisation pipeline
+    // Normalisation pipeline, then one SystolicArray pass per chunk
+    // the array holds; a single pass is AsicModel::classifyCycles.
+    model.cycles = 2 * L;
     if (spec.dataflow == stream::AsicDataflow::QueryStationary) {
-        // p passes of (chunk + M - 1) cycles; chunks sum to L.
+        // p passes: p - 1 full D-row query chunks, then the rest.
         const std::uint64_t p = (L + D - 1) / D;
         model.passes = p;
-        model.cycles += L + p * (M - 1);
+        model.cycles += (p - 1) * SystolicArray::passCycles(D, M) +
+                        SystolicArray::passCycles(L - (p - 1) * D, M);
         // The M-cell DP row round-trips DRAM between passes.
         model.checkpointBytes += (p - 1) * 2 * M * kCell;
     } else {
-        // t reference tiles; each pass is (L + tile - 1) cycles and
-        // the tiles sum to M, so the array runs t*L + M - t cycles
-        // with an L-deep column carry between tiles.
+        // t reference tiles: t - 1 full D-sample tiles, then the
+        // rest, with an L-deep column carry between tiles.
         const std::uint64_t t = (M + D - 1) / D;
         model.passes = t;
-        model.cycles += t * L + M - t;
+        model.cycles += (t - 1) * SystolicArray::passCycles(L, D) +
+                        SystolicArray::passCycles(L, M - (t - 1) * D);
         model.checkpointBytes += (t - 1) * 2 * L * kCell;
     }
     // Multi-stage checkpointing (§4.6): resume reads the saved row,
@@ -49,20 +52,10 @@ AsicBackend::AsicBackend(const stream::AsicSpec &spec,
                          std::size_t lane_capacity, bool lane_batching)
     : spec_(spec), laneBatching_(lane_batching)
 {
-    if (spec_.arrayDim == 0)
-        fatal("AsicBackend needs at least one PE");
-    if (spec_.clockGhz <= 0.0)
-        fatal("AsicBackend clock must be positive, got %g GHz",
-              spec_.clockGhz);
-    // Mirror the SystolicArray implementability checks: scores come
-    // from the software kernel either way, but modelling hardware for
-    // a configuration the hardware cannot execute would be a lie.
-    if (config.metric != sdtw::CostMetric::AbsoluteDifference)
-        fatal("the modelled hardware implements only the "
-              "absolute-difference metric (paper §4.7)");
-    if (config.allowReferenceDeletion)
-        fatal("the modelled hardware removed reference deletions "
-              "(paper §4.7)");
+    // Scores come from the software kernel either way, but modelling
+    // hardware for a configuration it cannot execute would be a lie.
+    if (const char *error = stream::asicConfigError(spec_, config))
+        fatal("AsicBackend: %s", error);
     // Table 4 power for a one-tile chip of this array size, scaled
     // linearly from the synthesised 2.5 GHz operating point.
     powerW_ = AsicModel(spec_.arrayDim, 1).oneTilePowerW() *

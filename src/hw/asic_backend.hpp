@@ -26,9 +26,9 @@
  *    L + p(M-1); the DP row carries through DRAM between passes
  *    ((p-1) * 2M cells written + read);
  *  - ReferenceStationary: the reference is tiled across the array in
- *    t = ceil(M/D) tiles and the query streams through each, total
- *    tL + M - t cycles with an L-deep column carry between tiles
- *    ((t-1) * 2L cells);
+ *    t = ceil(M/D) tiles and the query streams through each, one
+ *    L + tile - 1 cycle pass per tile, total tL + M - t cycles with an
+ *    L-deep column carry between tiles ((t-1) * 2L cells);
  *  - multi-stage checkpointing (§4.6): a resumed stream reads its
  *    M-cell row from DRAM, an undecided stream writes it back.
  *

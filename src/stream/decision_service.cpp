@@ -106,6 +106,30 @@ foldDispatch(std::vector<DecisionRequest> &batch, sdtw::BatchSdtw &kernel,
     }
 }
 
+bool
+kernelConfigsAgree(const sdtw::SdtwConfig &a, const sdtw::SdtwConfig &b)
+{
+    return a.metric == b.metric &&
+           a.allowReferenceDeletion == b.allowReferenceDeletion &&
+           a.matchBonus == b.matchBonus && a.dwellCap == b.dwellCap;
+}
+
+const char *
+asicConfigError(const AsicSpec &spec, const sdtw::SdtwConfig &config)
+{
+    if (spec.arrayDim == 0)
+        return "the modelled array needs at least one PE";
+    if (spec.clockGhz <= 0.0)
+        return "the modelled clock must be positive";
+    if (config.metric != sdtw::CostMetric::AbsoluteDifference)
+        return "the modelled hardware implements only the "
+               "absolute-difference metric (paper §4.7)";
+    if (config.allowReferenceDeletion)
+        return "the modelled hardware removed reference deletions "
+               "(paper §4.7)";
+    return nullptr;
+}
+
 SoftwareBackend::SoftwareBackend(const sdtw::SdtwConfig &config,
                                  std::size_t lane_capacity,
                                  bool lane_batching)

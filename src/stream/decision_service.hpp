@@ -3,17 +3,12 @@
 
 /**
  * @file
- * The seam between a Read Until session's virtual-time event loop and
- * whatever executes its sDTW decision requests.
- *
- * ReadUntilSession::run() owns a private worker pool;
- * fleet::FleetOrchestrator shards many sessions over one shared pool.
- * Both meet at DecisionService: the event loop submits
- * DecisionRequests — submit() blocks under backpressure, so an
- * outrunning session is throttled at capture time and chunks are
- * never dropped — and awaits completion on its session-owned
- * CompletionBoard, while the worker side folds each dispatch's
- * requests as SIMD lane batches with foldDispatch().
+ * What passes between a Read Until session's virtual-time event loop
+ * and the decision pool (stream/decision_pool.hpp) that executes its
+ * sDTW work: the event loop submits DecisionRequests and awaits
+ * completion on its session-owned CompletionBoard, while each worker
+ * folds its dispatches through a DecisionBackend — as SIMD lane
+ * batches with foldDispatch().
  */
 
 #include <array>
@@ -168,22 +163,6 @@ struct SessionLiveCounters
     LiveDegradation degradation;
 };
 
-/** Executes decision requests on behalf of one or many sessions. */
-class DecisionService
-{
-  public:
-    virtual ~DecisionService() = default;
-
-    /**
-     * Enqueue @p request for the worker side.  Blocks while the
-     * service applies backpressure (queue full, admission quota
-     * exhausted) — the caller's capture clock stalls rather than any
-     * chunk being dropped.  Returns false only when the service has
-     * been shut down; no completion will arrive in that case.
-     */
-    virtual bool submit(DecisionRequest request) = 0;
-};
-
 /**
  * Per-decision latency override for foldDispatch: called after a
  * request's fold finished but BEFORE its board slot completes (the
@@ -214,8 +193,8 @@ void foldDispatch(std::vector<DecisionRequest> &batch,
  * One worker's decision engine: folds dispatches through the shared
  * quantised DP and decides what latency each decision is charged.
  * Implementations are NOT thread-safe — one instance per worker,
- * constructed on the session/orchestrator main thread so a bad
- * configuration fatals before any worker thread exists.
+ * constructed by DecisionPool::start() on the caller's thread so a
+ * bad configuration fatals before any worker thread exists.
  *
  * Every backend produces bit-identical scores, decisions and
  * checkpoint states (the fold is the same kernel); only the latency
@@ -265,6 +244,24 @@ class SoftwareBackend final : public DecisionBackend
     std::unique_ptr<sdtw::BatchSdtw> kernel_;
     bool laneBatching_ = true;
 };
+
+/**
+ * The four kernel-affecting SdtwConfig switches (metric, reference
+ * deletion, match bonus, dwell cap) agree.  Worker kernels are built
+ * once from one config, so every classifier a pool may fold — each
+ * session's, and each hot-swap target's — must match it.
+ */
+bool kernelConfigsAgree(const sdtw::SdtwConfig &a,
+                        const sdtw::SdtwConfig &b);
+
+/**
+ * Why the modelled ASIC cannot run @p config on @p spec, or nullptr
+ * when it can: the hardware implements only the absolute-difference
+ * metric without reference deletions (paper §4.7), and the design
+ * point needs PEs and a positive clock.
+ */
+const char *asicConfigError(const AsicSpec &spec,
+                            const sdtw::SdtwConfig &config);
 
 /**
  * Construct the backend @p kind configured for one worker.  @p asic

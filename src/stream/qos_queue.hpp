@@ -1,12 +1,14 @@
-#ifndef SF_FLEET_QOS_QUEUE_HPP
-#define SF_FLEET_QOS_QUEUE_HPP
+#ifndef SF_STREAM_QOS_QUEUE_HPP
+#define SF_STREAM_QOS_QUEUE_HPP
 
 /**
  * @file
- * QoS-aware bounded MPMC queue for the fleet orchestrator.
+ * QoS-aware bounded MPMC queue: the one request queue of the
+ * decision pool (stream/decision_pool.hpp).
  *
- * One queue carries the decision requests of every session in the
- * fleet, split into two service classes:
+ * One queue carries the decision requests of every session the pool
+ * serves — one for a standalone ReadUntilSession::run(), many for a
+ * fleet — split into two service classes:
  *
  *  - Stat: clinical/STAT sessions — a worker dispatch always prefers
  *    this class when it has work queued;
@@ -35,9 +37,9 @@
 
 #include "common/logging.hpp"
 
-namespace sf::fleet {
+namespace sf::stream {
 
-/** Service class of a fleet session. */
+/** Service class of a session. */
 enum class QosClass : std::size_t {
     Stat = 0,     //!< clinical STAT: preferred at every dispatch
     Research = 1, //!< batch work: preempted, but starvation-bounded
@@ -54,13 +56,13 @@ qosClassName(QosClass cls)
 
 /**
  * Blocking bounded FIFO with two service classes and per-session
- * admission quotas.  Same contract as stream::BoundedQueue — push
- * blocks under backpressure and returns false only when closed,
- * popBatch drains up to a batch and returns false when closed and
- * empty — plus the Stat-over-Research dispatch policy above.
+ * admission quotas: push blocks under backpressure and returns false
+ * only when closed, popBatch drains up to a batch and returns false
+ * when closed and empty, and dispatches follow the Stat-over-Research
+ * policy above.
  */
 template <typename T>
-class QosBoundedQueue
+class QosQueue
 {
   public:
     /**
@@ -69,19 +71,19 @@ class QosBoundedQueue
      *        queued Research dispatch must be served; >= 1 (0 would
      *        invert the priority into Research-always-first)
      */
-    QosBoundedQueue(std::size_t capacity, std::size_t statBurst)
+    QosQueue(std::size_t capacity, std::size_t statBurst)
         : capacity_(capacity), statBurst_(statBurst)
     {
         if (capacity_ == 0)
-            fatal("QosBoundedQueue capacity must be positive");
+            fatal("QosQueue capacity must be positive");
         if (statBurst_ == 0)
-            fatal("QosBoundedQueue statBurst must be >= 1 (0 would "
+            fatal("QosQueue statBurst must be >= 1 (0 would "
                   "starve the Stat class instead of bounding Research "
                   "starvation)");
     }
 
-    QosBoundedQueue(const QosBoundedQueue &) = delete;
-    QosBoundedQueue &operator=(const QosBoundedQueue &) = delete;
+    QosQueue(const QosQueue &) = delete;
+    QosQueue &operator=(const QosQueue &) = delete;
 
     /**
      * Register a session and return its id (the sessionId to push
@@ -108,7 +110,7 @@ class QosBoundedQueue
     {
         std::unique_lock lock(mutex_);
         if (session >= sessions_.size())
-            fatal("QosBoundedQueue push from unregistered session %u",
+            fatal("QosQueue push from unregistered session %u",
                   unsigned(session));
         SessionSlot &slot = sessions_[session];
         const auto admitted_or_closed = [&] {
@@ -131,7 +133,7 @@ class QosBoundedQueue
         ++slot.depth;
         ++total_;
         if (total_ > capacity_)
-            panic("QosBoundedQueue overfilled: %zu items in a queue "
+            panic("QosQueue overfilled: %zu items in a queue "
                   "of capacity %zu (lost wakeup or predicate bug)",
                   total_, capacity_);
         lock.unlock();
@@ -172,7 +174,7 @@ class QosBoundedQueue
              std::chrono::microseconds linger = {})
     {
         if (max_items == 0)
-            fatal("QosBoundedQueue batch size must be positive");
+            fatal("QosQueue batch size must be positive");
         std::unique_lock lock(mutex_);
         for (;;) {
             notEmpty_.wait(lock,
@@ -211,7 +213,7 @@ class QosBoundedQueue
             const std::uint32_t session = sessionOf(item);
             if (session >= sessions_.size() ||
                 sessions_[session].depth == 0)
-                panic("QosBoundedQueue depth underflow for session "
+                panic("QosQueue depth underflow for session "
                       "%u", unsigned(session));
             --sessions_[session].depth;
             out.push_back(std::move(item));
@@ -328,6 +330,6 @@ class QosBoundedQueue
     bool closed_ = false;
 };
 
-} // namespace sf::fleet
+} // namespace sf::stream
 
-#endif // SF_FLEET_QOS_QUEUE_HPP
+#endif // SF_STREAM_QOS_QUEUE_HPP

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <queue>
-#include <thread>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "common/topology.hpp"
-#include "sdtw/batch.hpp"
 #include "signal/chunk_source.hpp"
-#include "stream/chunk_queue.hpp"
-#include "stream/decision_service.hpp"
+#include "stream/decision_pool.hpp"
 
 namespace sf::stream {
 
@@ -100,116 +95,12 @@ struct Channel
 };
 
 /**
- * The session-private worker pool behind ReadUntilSession::run():
- * a bounded MPMC queue plus real classifier threads, each folding its
- * dispatch pulls as SIMD lane batches via the shared foldDispatch().
- * The fleet orchestrator implements the same DecisionService seam
- * over a QoS-aware shared queue — the event loop cannot tell them
- * apart, which is what keeps the decision log identical between
- * run() and runShared().
- */
-class LocalDecisionService final : public DecisionService
-{
-  public:
-    LocalDecisionService(const sdtw::SdtwConfig &kernel_config,
-                         const SessionConfig &config)
-        : queue_(config.queueCapacity)
-    {
-        // Build every worker's backend on THIS thread: a backend the
-        // configuration cannot support (e.g. modelled hardware for a
-        // non-hardware kernel config) fatals here, before any worker
-        // thread exists.  Each worker owns one backend — the software
-        // one wraps the per-worker lane-batch kernel sized to its
-        // dispatch pull, the modelled-ASIC one folds through the same
-        // kernel and substitutes cycle-model latency.
-        const std::size_t lanes = std::max<std::size_t>(
-            config.dispatchBatch, sdtw::BatchSdtw::kDefaultSerialCutover);
-        backends_.reserve(config.workers);
-        for (unsigned w = 0; w < config.workers; ++w)
-            backends_.push_back(makeDecisionBackend(
-                config.backend, config.asic, kernel_config, lanes,
-                config.laneBatching));
-
-        // Node-compact worker placement (wall-clock only: pinning
-        // must never change a decision, see SessionConfig).
-        const std::vector<int> placement =
-            config.pinWorkers ? topo::planPlacement(config.workers)
-                              : std::vector<int>{};
-        workers_.reserve(config.workers);
-        for (unsigned w = 0; w < config.workers; ++w) {
-            const int cpu = config.pinWorkers ? placement[w] : -1;
-            DecisionBackend *backend = backends_[w].get();
-            workers_.emplace_back([this, backend, config, cpu]() {
-                if (cpu >= 0)
-                    topo::pinThreadToCpu(cpu);
-                std::vector<DecisionRequest> batch;
-                while (queue_.popBatch(batch, config.dispatchBatch)) {
-                    backend->fold(batch);
-                    {
-                        std::lock_guard lock(statsMutex_);
-                        ++dispatches_;
-                        dispatchedRequests_ += batch.size();
-                    }
-                    batch.clear();
-                }
-            });
-        }
-    }
-
-    ~LocalDecisionService() override { shutdown(); }
-
-    bool
-    submit(DecisionRequest request) override
-    {
-        return queue_.push(std::move(request)); // blocks when full
-    }
-
-    /** Close the queue and join the workers (idempotent). */
-    void
-    shutdown()
-    {
-        queue_.close();
-        for (std::thread &worker : workers_)
-            if (worker.joinable())
-                worker.join();
-    }
-
-    std::uint64_t dispatches() const { return dispatches_; }
-
-    double
-    meanBatchSize() const
-    {
-        return dispatches_ > 0
-                   ? double(dispatchedRequests_) / double(dispatches_)
-                   : 0.0;
-    }
-
-    /** Summed modelled-hardware ledger; call after shutdown(). */
-    ModeledHwStats
-    modeledStats() const
-    {
-        ModeledHwStats total;
-        for (const auto &backend : backends_)
-            total.accumulate(backend->modeledStats());
-        return total;
-    }
-
-  private:
-    BoundedQueue<DecisionRequest> queue_;
-    std::vector<std::unique_ptr<DecisionBackend>> backends_;
-    std::vector<std::thread> workers_;
-    std::mutex statsMutex_;
-    std::uint64_t dispatches_ = 0;
-    std::uint64_t dispatchedRequests_ = 0;
-};
-
-/**
- * The virtual-time flowcell event loop, shared by run() (private
- * pool) and runShared() (fleet pool).
+ * The virtual-time flowcell event loop, shared by run() (a pool of
+ * one) and runShared() (a fleet's pool).
  *
  * Completion protocol — the happens-before chain TSan audits:
  *   1. event loop: board.markPending(c) (slot armed under the board
- *      mutex), then service.submit(request) (the queue mutex orders
+ *      mutex), then pool.submit(request) (the queue mutex orders
  *      1 -> 2)
  *   2. worker: pops the request and mutates channels[c].stream
  *      WITHOUT a lock — safe because at most one request per channel
@@ -229,7 +120,7 @@ SessionResult
 runEventLoop(const sdtw::SquiggleFilterClassifier &classifier,
              const SessionConfig &config,
              std::span<const signal::ReadRecord> reads,
-             DecisionService &service, std::uint32_t session_id,
+             DecisionPool &pool, std::uint32_t session_id,
              SessionLiveCounters *live)
 {
     const std::size_t chunk_samples = config.chunkSamples();
@@ -298,21 +189,21 @@ runEventLoop(const sdtw::SquiggleFilterClassifier &classifier,
                  c, ch.epoch);
     };
 
-    // Set when the service refuses a submit (shut down underneath
-    // us): no completion will arrive, so the loop must stop.
-    bool service_down = false;
+    // Set when the pool refuses a submit (shut down underneath us):
+    // no completion will arrive, so the loop must stop.
+    bool pool_down = false;
     const auto submit = [&](int c, double t,
                             std::vector<RawSample> samples, bool end,
                             std::uint64_t chunk_count) {
         Channel &ch = channels[std::size_t(c)];
         ch.inFlight = true;
         board.markPending(std::size_t(c));
-        if (!service.submit(DecisionRequest{
+        if (!pool.submit(DecisionRequest{
                 &ch.stream, ch.cls, std::move(samples), end, &board,
                 std::size_t(c), session_id, config.backend,
                 Clock::now()})) {
             ch.inFlight = false;
-            service_down = true;
+            pool_down = true;
             // The request never reached a worker: its chunks are
             // accounted aborted so conservation still balances.
             deg.chunksAborted += chunk_count;
@@ -437,7 +328,7 @@ runEventLoop(const sdtw::SquiggleFilterClassifier &classifier,
     }
 
     double now = 0.0;
-    while (!events.empty() && !service_down) {
+    while (!events.empty() && !pool_down) {
         const Event ev = events.top();
         events.pop();
         if (ev.t > max_virtual_sec) {
@@ -677,7 +568,7 @@ runEventLoop(const sdtw::SquiggleFilterClassifier &classifier,
         ++deg.wearHistogram[wearBucketOf(ch.wear.wearFraction())];
     }
     // "Never drops a chunk", as an always-on invariant: every chunk a
-    // channel emitted either reached the decision service or was
+    // channel emitted either reached the decision pool or was
     // accounted aborted with its read.
     if (stats.chunksEmitted != deg.chunksFolded + deg.chunksAborted)
         panic("chunk conservation violated: %llu emitted vs %llu "
@@ -727,8 +618,6 @@ ReadUntilSession::ReadUntilSession(
         fatal("ReadUntilSession chunk must cover at least one sample");
     if (config_.sampleRateHz <= 0.0)
         fatal("ReadUntilSession sample rate must be positive");
-    if (config_.workers == 0)
-        config_.workers = std::max(1u, std::thread::hardware_concurrency());
     if (config_.queueCapacity == 0 || config_.dispatchBatch == 0)
         fatal("ReadUntilSession queue capacity and dispatch batch must "
               "be positive");
@@ -738,17 +627,13 @@ ReadUntilSession::ReadUntilSession(
         // worker kernels (sized once from the primary's SdtwConfig)
         // keep running — so every swap target must agree on the four
         // kernel-affecting switches, exactly like fleet sessions.
-        const sdtw::SdtwConfig &a = classifier_.config();
-        for (const ReferenceHotSwap &h : config_.faults->hotSwaps) {
-            const sdtw::SdtwConfig &b = h.classifier->config();
-            if (a.metric != b.metric ||
-                a.allowReferenceDeletion != b.allowReferenceDeletion ||
-                a.matchBonus != b.matchBonus || a.dwellCap != b.dwellCap)
+        for (const ReferenceHotSwap &h : config_.faults->hotSwaps)
+            if (!kernelConfigsAgree(classifier_.config(),
+                                    h.classifier->config()))
                 fatal("FaultPlan hot-swap classifier disagrees with "
                       "the session on kernel SdtwConfig (metric/refdel/"
                       "bonus/dwell); swaps may change the reference "
                       "squiggle, not the kernel shape");
-        }
     }
 }
 
@@ -756,11 +641,19 @@ SessionResult
 ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
 {
     const auto wall_start = Clock::now();
-    LocalDecisionService service(classifier_.config(), config_);
+    // A pool of one: the queue, worker loop and backends a fleet
+    // shares, serving this session alone.  One session means one QoS
+    // class, so the Stat burst bound never engages.
+    DecisionPool pool(config_.workers, config_.queueCapacity,
+                      config_.dispatchBatch, /*stat_burst=*/1,
+                      config_.laneBatching);
+    const std::uint32_t id =
+        pool.addSession(QosClass::Research, /*quota=*/0, config_.backend);
+    pool.start(classifier_.config(), config_.asic, /*pin=*/false);
     SessionResult out =
-        runEventLoop(classifier_, config_, reads, service,
-                     /*session_id=*/0, /*live=*/nullptr);
-    service.shutdown();
+        runEventLoop(classifier_, config_, reads, pool, id,
+                     /*live=*/nullptr);
+    pool.shutdown();
     // Pool-level statistics, and the wall clock including the drain
     // and join so throughput numbers stay comparable with earlier
     // baselines of this method.
@@ -769,19 +662,20 @@ ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
     out.stats.wallSeconds = wall_sec;
     out.stats.chunksPerSec =
         wall_sec > 0.0 ? double(out.stats.chunksEmitted) / wall_sec : 0.0;
-    out.stats.dispatches = service.dispatches();
-    out.stats.meanBatchSize = service.meanBatchSize();
-    out.stats.hwModel = service.modeledStats();
+    const PoolCounters counters = pool.counters();
+    out.stats.dispatches = counters.dispatches;
+    out.stats.meanBatchSize = counters.meanBatchSize();
+    out.stats.hwModel = pool.modeledStats();
     return out;
 }
 
 SessionResult
-ReadUntilSession::runShared(DecisionService &service,
+ReadUntilSession::runShared(DecisionPool &pool,
                             std::span<const signal::ReadRecord> reads,
                             std::uint32_t session_id,
                             SessionLiveCounters *live) const
 {
-    return runEventLoop(classifier_, config_, reads, service, session_id,
+    return runEventLoop(classifier_, config_, reads, pool, session_id,
                         live);
 }
 

@@ -21,9 +21,10 @@
  *    per-decision latency percentiles and sustained chunk throughput
  *    of the real sDTW work fanned across the worker pool.
  *
- * Decision requests flow through a bounded MPMC queue (backpressure:
- * the event source blocks when classification falls behind) and
- * workers drain it in cross-channel batches per dispatch.
+ * Decision requests flow through the bounded queue of a DecisionPool
+ * (backpressure: the event source blocks when classification falls
+ * behind) and its workers drain it in cross-channel batches per
+ * dispatch.
  */
 
 #include <cstdint>
@@ -39,7 +40,7 @@
 
 namespace sf::stream {
 
-class DecisionService;
+class DecisionPool;
 struct SessionLiveCounters;
 
 /** Flowcell, latency, and worker-pool configuration. */
@@ -53,8 +54,8 @@ struct SessionConfig
     double poreRecoverySec = 0.5;       //!< dead time after an ejection
     /** Virtual compute latency per decision (hardware budget §6). */
     double decisionLatencySec = 0.043e-3;
-    unsigned workers = 2;               //!< real classifier threads
-    std::size_t queueCapacity = 256;    //!< bounded MPMC request queue
+    unsigned workers = 2;  //!< classifier threads (0 = hardware concurrency)
+    std::size_t queueCapacity = 256;    //!< bounded request queue
     std::size_t dispatchBatch = 16;     //!< max requests per worker pull
     /**
      * Fold the cross-channel requests of each worker dispatch as one
@@ -63,14 +64,6 @@ struct SessionConfig
      * only wall-clock throughput changes.
      */
     bool laneBatching = true;
-    /**
-     * Pin worker threads to cpus (node-compact placement via
-     * sf::topo::planPlacement) so each worker's per-worker BatchSdtw
-     * scratch stays resident on one NUMA node.  Pure wall-clock
-     * placement — the decision log is bit-identical either way — and
-     * a graceful no-op on hosts without affinity support.
-     */
-    bool pinWorkers = false;
     /**
      * Which engine executes decision requests (see
      * stream/decision_backend.hpp).  The virtual-clock outcomes —
@@ -199,27 +192,30 @@ class ReadUntilSession
     /**
      * Sequence every read in @p reads through the flowcell (reads are
      * assigned to channels in order as pores free up) and return the
-     * deterministic decision log plus measured statistics.
+     * deterministic decision log plus measured statistics.  The
+     * decisions run on a DecisionPool serving this session alone,
+     * sized by config().workers, queueCapacity, dispatchBatch and
+     * laneBatching.
      */
     SessionResult run(std::span<const signal::ReadRecord> reads) const;
 
     /**
-     * Run the same flowcell against an external decision service — a
-     * shared fleet worker pool — instead of a private one.
-     * config().workers, queueCapacity, dispatchBatch and laneBatching
-     * are the service's concern and ignored here; the decision log is
-     * bit-identical to run() regardless, because every virtual-time
-     * outcome depends only on the session seed, config and reads.
-     * Wall-clock statistics (latency percentiles, chunks/s) reflect
-     * the shared pool; dispatches/meanBatchSize are pool-level and
-     * left zero.  @p session_id tags every submitted request so the
-     * service can do per-session admission accounting, and @p live
+     * Run the same flowcell on a pool shared with other sessions (a
+     * fleet) and already started.  config().workers, queueCapacity,
+     * dispatchBatch and laneBatching are the pool's concern and
+     * ignored here; the decision log is bit-identical to run()
+     * regardless, because every virtual-time outcome depends only on
+     * the session seed, config and reads.  Wall-clock statistics
+     * (latency percentiles, chunks/s) reflect the shared pool;
+     * dispatches, meanBatchSize and hwModel count the whole pool, so
+     * they are left zero here and reported by the pool's owner.
+     * @p session_id is the id pool.addSession() returned, and @p live
      * (optional) is ticked as chunks surface and decisions apply so
      * an orchestrator can snapshot progress mid-run.
      */
-    SessionResult runShared(DecisionService &service,
+    SessionResult runShared(DecisionPool &pool,
                             std::span<const signal::ReadRecord> reads,
-                            std::uint32_t session_id = 0,
+                            std::uint32_t session_id,
                             SessionLiveCounters *live = nullptr) const;
 
     /** The configuration in effect. */

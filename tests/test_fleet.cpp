@@ -1,15 +1,15 @@
 /**
  * @file
- * Tests for the fleet orchestrator: the QoS-aware shared queue and
- * FleetOrchestrator itself — above all that every session's decision
- * log stays bit-identical to a standalone ReadUntilSession::run()
+ * Tests for the fleet orchestrator — above all that every session's
+ * decision log stays bit-identical to a standalone ReadUntilSession::run()
  * regardless of fleet size, worker count, QoS class or backpressure,
  * that Stat preempts Research without starving it, and that admission
  * control throttles instead of dropping.
  *
- * The QosQueueTest cases are sub-second and carry the `quick` label;
- * the FleetTest cases run real flowcell fleets under the `stream`
- * label (one process under TSan, see CMakeLists).
+ * The SnapshotSchemaTest cases are sub-second and carry the `quick`
+ * label; the FleetTest cases run real flowcell fleets under the
+ * `stream` label (one process under TSan, see CMakeLists).  The
+ * shared queue's own tests live in tests/test_queue.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +18,6 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,7 +25,6 @@
 
 #include "common/logging.hpp"
 #include "fleet/orchestrator.hpp"
-#include "fleet/qos_queue.hpp"
 #include "pipeline/experiments.hpp"
 #include "sdtw/filter.hpp"
 #include "stream/fault_plan.hpp"
@@ -68,348 +65,6 @@ const std::vector<unsigned> kWorkerCounts = {1, 4, 8};
 constexpr std::size_t kStatReadsFactor = 3;
 constexpr std::size_t kSerialFoldSessions = 2;
 #endif
-
-// ---------------------------------------------------------------- //
-//                      QoS queue (quick label)                      //
-// ---------------------------------------------------------------- //
-
-/** Minimal queue payload: QosBoundedQueue needs only .sessionId. */
-struct Item
-{
-    std::uint32_t sessionId = 0;
-    int value = 0;
-};
-
-TEST(QosQueueTest, StatDispatchesBeforeQueuedResearch)
-{
-    QosBoundedQueue<Item> queue(16, /*statBurst=*/4);
-    const auto research = queue.registerSession(QosClass::Research, 0);
-    const auto stat = queue.registerSession(QosClass::Stat, 0);
-
-    // Research arrives first, Stat after — Stat still dispatches
-    // first, and dispatches are class-pure.
-    ASSERT_TRUE(queue.push(research, Item{research, 1}));
-    ASSERT_TRUE(queue.push(research, Item{research, 2}));
-    ASSERT_TRUE(queue.push(stat, Item{stat, 3}));
-
-    std::vector<Item> batch;
-    QosClass served = QosClass::Research;
-    ASSERT_TRUE(queue.popBatch(batch, 8, &served));
-    EXPECT_EQ(served, QosClass::Stat);
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].value, 3);
-
-    batch.clear();
-    ASSERT_TRUE(queue.popBatch(batch, 8, &served));
-    EXPECT_EQ(served, QosClass::Research);
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch[0].value, 1); // FIFO within the class
-    EXPECT_EQ(batch[1].value, 2);
-}
-
-TEST(QosQueueTest, ResearchStarvationIsBoundedByStatBurst)
-{
-    constexpr std::size_t kBurst = 2;
-    QosBoundedQueue<Item> queue(64, kBurst);
-    const auto stat = queue.registerSession(QosClass::Stat, 0);
-    const auto research = queue.registerSession(QosClass::Research, 0);
-
-    // Both classes saturated: Research must be served at least every
-    // kBurst+1 dispatches even though Stat never runs dry.
-    for (int i = 0; i < 12; ++i)
-        ASSERT_TRUE(queue.push(stat, Item{stat, i}));
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(queue.push(research, Item{research, 100 + i}));
-
-    std::vector<QosClass> order;
-    std::vector<Item> batch;
-    QosClass served = QosClass::Research;
-    // Single-item dispatches expose the exact interleaving.
-    while (queue.size() > 0) {
-        batch.clear();
-        ASSERT_TRUE(queue.popBatch(batch, 1, &served));
-        order.push_back(served);
-    }
-    std::size_t stat_streak = 0;
-    std::size_t research_seen = 0;
-    for (QosClass cls : order) {
-        if (cls == QosClass::Stat) {
-            ++stat_streak;
-            // The bound applies while Research work is waiting; once
-            // the Research queue drains, Stat may streak freely.
-            if (research_seen < 4) {
-                EXPECT_LE(stat_streak, kBurst)
-                    << "research starved past the statBurst bound";
-            }
-        } else {
-            stat_streak = 0;
-            ++research_seen;
-        }
-    }
-    EXPECT_EQ(research_seen, 4u);
-}
-
-TEST(QosQueueTest, AdmissionQuotaBlocksUntilDispatchFreesIt)
-{
-    QosBoundedQueue<Item> queue(16, 4);
-    const auto s = queue.registerSession(QosClass::Research, /*quota=*/1);
-
-    ASSERT_TRUE(queue.push(s, Item{s, 1}));
-    EXPECT_EQ(queue.depth(s), 1u);
-
-    // Second push exceeds the quota: it must block (throttle), not
-    // drop, and complete once a dispatch frees the slot.
-    std::atomic<bool> pushed{false};
-    std::thread pusher([&] {
-        ASSERT_TRUE(queue.push(s, Item{s, 2}));
-        pushed.store(true, std::memory_order_release);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(pushed.load(std::memory_order_acquire))
-        << "push over quota must block";
-
-    std::vector<Item> batch;
-    ASSERT_TRUE(queue.popBatch(batch, 8, nullptr));
-    pusher.join();
-    EXPECT_TRUE(pushed.load(std::memory_order_acquire));
-    EXPECT_EQ(queue.depth(s), 1u); // item 2 queued now
-    batch.clear();
-    ASSERT_TRUE(queue.popBatch(batch, 8, nullptr));
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].value, 2);
-    EXPECT_EQ(queue.depth(s), 0u);
-}
-
-TEST(QosQueueTest, CloseWakesBlockedProducerAndDrainsConsumers)
-{
-    QosBoundedQueue<Item> queue(1, 4);
-    const auto s = queue.registerSession(QosClass::Stat, 0);
-    ASSERT_TRUE(queue.push(s, Item{s, 1})); // at capacity
-
-    std::atomic<bool> refused{false};
-    std::thread pusher([&] {
-        // Blocks on capacity; close() must wake it with false.
-        refused.store(!queue.push(s, Item{s, 2}),
-                      std::memory_order_release);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    queue.close();
-    pusher.join();
-    EXPECT_TRUE(refused.load(std::memory_order_acquire));
-
-    // Consumers drain what was queued, then see false.
-    std::vector<Item> batch;
-    EXPECT_TRUE(queue.popBatch(batch, 8, nullptr));
-    ASSERT_EQ(batch.size(), 1u);
-    batch.clear();
-    EXPECT_FALSE(queue.popBatch(batch, 8, nullptr));
-}
-
-TEST(QosQueueTest, LingerExpiryOnDrainedOpenQueueKeepsWorkerAlive)
-{
-    // Regression: a lingering worker whose deadline expires after a
-    // concurrent worker drained the (still open) queue must go back
-    // to waiting for work, not return false — a false return here
-    // permanently retires the worker's dispatch loop and silently
-    // degrades the pool.
-    QosBoundedQueue<Item> queue(8, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
-    constexpr auto kLinger = std::chrono::milliseconds(100);
-
-    std::vector<Item> dispatched;
-    std::thread worker([&] {
-        std::vector<Item> batch;
-        while (queue.popBatch(batch, 4, nullptr, kLinger)) {
-            dispatched.insert(dispatched.end(), batch.begin(),
-                              batch.end());
-            batch.clear();
-        }
-    });
-
-    // Item 1 parks the worker in its linger (a batch of 4 cannot
-    // fill), and an eager pop from this thread then drains the queue
-    // out from under it.
-    ASSERT_TRUE(queue.push(s, Item{s, 1}));
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    std::vector<Item> stolen;
-    ASSERT_TRUE(queue.popBatch(stolen, 4, nullptr));
-    ASSERT_EQ(stolen.size(), 1u);
-    EXPECT_EQ(stolen[0].value, 1);
-
-    // Let the worker's linger deadline expire on the now-empty, still
-    // open queue, then offer new work: a worker that wrongly treated
-    // the expiry as closed-and-drained leaves item 2 undelivered.
-    std::this_thread::sleep_for(2 * kLinger);
-    ASSERT_TRUE(queue.push(s, Item{s, 2}));
-    queue.close(); // cuts any in-flight linger short, never past work
-    worker.join();
-    ASSERT_EQ(dispatched.size(), 1u)
-        << "worker retired from an open queue after its linger "
-           "expired empty";
-    EXPECT_EQ(dispatched[0].value, 2);
-}
-
-TEST(QosQueueTest, LingerFillTargetIsTheServedClassNotTheTotal)
-{
-    // Dispatches are class-pure, so the linger's fill target must be
-    // the depth of the class the dispatch will serve: four queued
-    // Research items must not end a linger that is building a Stat
-    // batch of one.
-    QosBoundedQueue<Item> queue(16, /*statBurst=*/8);
-    const auto stat = queue.registerSession(QosClass::Stat, 0);
-    const auto research = queue.registerSession(QosClass::Research, 0);
-
-    ASSERT_TRUE(queue.push(stat, Item{stat, 1}));
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(queue.push(research, Item{research, 100 + i}));
-
-    // Stat is non-empty and the streak is fresh, so the dispatch
-    // serves Stat; a total_-based fill predicate would see 5 >= 4 and
-    // cut the linger with a 1/4-full Stat batch immediately, which is
-    // exactly the shredding the linger exists to prevent.  With the
-    // class-pure target the linger runs its course, and whatever Stat
-    // work arrived meanwhile dispatches together.
-    std::thread filler([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        for (int i = 2; i <= 4; ++i)
-            ASSERT_TRUE(queue.push(stat, Item{stat, i}));
-    });
-    std::vector<Item> batch;
-    QosClass served = QosClass::Research;
-    ASSERT_TRUE(queue.popBatch(batch, 4, &served,
-                               std::chrono::milliseconds(500)));
-    filler.join();
-    EXPECT_EQ(served, QosClass::Stat);
-    EXPECT_EQ(batch.size(), 4u)
-        << "linger ended on total depth instead of the served class";
-}
-
-// ---- capture storms against the shared queue --------------------- //
-
-TEST(QosQueueTest, StormBurstOverCapacityBlocksAndNeverDrops)
-{
-    // A capture storm models many sessions bursting chunks far faster
-    // than the pool drains them.  The admission contract is throttle,
-    // never drop: with the burst an order of magnitude over capacity,
-    // every item must still be delivered exactly once, and the stall
-    // counters must show the backpressure that absorbed it.
-    constexpr std::size_t kProducers = 3;
-    constexpr int kPerProducer = 40;
-    QosBoundedQueue<Item> queue(4, /*statBurst=*/4);
-    std::vector<std::uint32_t> ids;
-    for (std::size_t p = 0; p < kProducers; ++p)
-        ids.push_back(queue.registerSession(QosClass::Research, 0));
-
-    std::mutex seen_mutex;
-    std::multiset<int> seen;
-    std::thread consumer([&] {
-        // Let the burst slam into the full queue first.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        std::vector<Item> batch;
-        while (queue.popBatch(batch, 8, nullptr)) {
-            std::lock_guard lock(seen_mutex);
-            for (const Item &item : batch)
-                seen.insert(item.value);
-            batch.clear();
-        }
-    });
-    std::vector<std::thread> producers;
-    for (std::size_t p = 0; p < kProducers; ++p)
-        producers.emplace_back([&, p] {
-            for (int i = 0; i < kPerProducer; ++i)
-                ASSERT_TRUE(queue.push(
-                    ids[p], Item{ids[p], int(p) * 1000 + i}));
-        });
-    for (std::thread &t : producers)
-        t.join();
-    queue.close();
-    consumer.join();
-
-    ASSERT_EQ(seen.size(), kProducers * std::size_t(kPerProducer));
-    for (std::size_t p = 0; p < kProducers; ++p)
-        for (int i = 0; i < kPerProducer; ++i)
-            EXPECT_EQ(seen.count(int(p) * 1000 + i), 1u)
-                << "item dropped or duplicated under the storm";
-
-    // 120 pushes through a 4-slot queue with a delayed consumer: the
-    // burst must have blocked, and the ledger must have seen it.
-    EXPECT_GT(queue.totalStalls(), 0u);
-    std::uint64_t per_session = 0;
-    for (std::uint32_t id : ids)
-        per_session += queue.stalls(id);
-    EXPECT_EQ(per_session, queue.totalStalls());
-}
-
-TEST(QosQueueTest, StatLatencyBoundHoldsMidStorm)
-{
-    // A Research storm has the queue saturated; a clinical Stat
-    // request arriving mid-storm must still be served at the very
-    // next dispatch — the storm may not add even one Research
-    // dispatch to Stat's wait.
-    QosBoundedQueue<Item> queue(64, /*statBurst=*/4);
-    const auto research = queue.registerSession(QosClass::Research, 0);
-    const auto stat = queue.registerSession(QosClass::Stat, 0);
-    for (int i = 0; i < 32; ++i)
-        ASSERT_TRUE(queue.push(research, Item{research, i}));
-
-    // Storm already raging when the Stat work arrives.
-    std::vector<Item> batch;
-    QosClass served = QosClass::Stat;
-    ASSERT_TRUE(queue.popBatch(batch, 4, &served));
-    EXPECT_EQ(served, QosClass::Research);
-
-    ASSERT_TRUE(queue.push(stat, Item{stat, 999}));
-    batch.clear();
-    ASSERT_TRUE(queue.popBatch(batch, 4, &served));
-    EXPECT_EQ(served, QosClass::Stat)
-        << "a Research storm delayed a Stat dispatch";
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].value, 999);
-}
-
-TEST(QosQueueTest, CloseDuringStormWakesAllBlockedProducers)
-{
-    // Teardown mid-storm: every producer blocked on the saturated
-    // queue must wake from close() and see false — none may hang
-    // (that would deadlock fleet teardown) or spuriously succeed
-    // after the close.
-    constexpr std::size_t kBlocked = 6;
-    QosBoundedQueue<Item> queue(2, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
-    ASSERT_TRUE(queue.push(s, Item{s, 0}));
-    ASSERT_TRUE(queue.push(s, Item{s, 1})); // at capacity
-
-    std::atomic<std::size_t> refused{0};
-    std::vector<std::thread> producers;
-    for (std::size_t i = 0; i < kBlocked; ++i)
-        producers.emplace_back([&, i] {
-            if (!queue.push(s, Item{s, int(100 + i)}))
-                refused.fetch_add(1, std::memory_order_relaxed);
-        });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_GT(queue.totalStalls(), 0u);
-    queue.close();
-    for (std::thread &t : producers)
-        t.join(); // a missed wakeup hangs right here
-    EXPECT_EQ(refused.load(std::memory_order_relaxed), kBlocked);
-
-    // The two admitted items drain; then consumers see closed.
-    std::vector<Item> batch;
-    EXPECT_TRUE(queue.popBatch(batch, 8, nullptr));
-    EXPECT_EQ(batch.size(), 2u);
-    batch.clear();
-    EXPECT_FALSE(queue.popBatch(batch, 8, nullptr));
-}
-
-TEST(QosQueueTest, InvalidParametersAreFatal)
-{
-    EXPECT_THROW(QosBoundedQueue<Item>(0, 4), FatalError);
-    // statBurst = 0 would invert the priority (Research always
-    // preferred), so it is rejected rather than silently honoured.
-    EXPECT_THROW(QosBoundedQueue<Item>(16, 0), FatalError);
-    QosBoundedQueue<Item> queue(4, 1);
-    EXPECT_THROW(queue.push(7, Item{7, 0}), FatalError);
-}
 
 // ---------------------------------------------------------------- //
 //              snapshot JSON schema (quick label)                   //
@@ -773,7 +428,7 @@ class FleetTest : public ::testing::Test
                                            21 + std::uint64_t(i));
     }
 
-    /** Standalone (private-pool) run of session @p i — the oracle the
+    /** Standalone run (a pool of one) of session @p i — the oracle the
         fleet logs must match bit-exactly. */
     static const stream::SessionResult &
     standalone(std::size_t i)

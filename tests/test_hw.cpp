@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -552,6 +555,66 @@ TEST(AsicBackendModel, BackendRejectsUnimplementableConfigs)
         AsicBackend(bad_clock, sdtw::hardwareConfig(), 16, true),
         FatalError);
 }
+
+// One cycle formula: modelDecision is the normalisation pipeline plus
+// one SystolicArray pass per query chunk (query-stationary) or
+// reference tile (reference-stationary), and a single pass is exactly
+// AsicModel::classifyCycles and the event-level array's pass.
+class AsicCycleFormulaTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, stream::AsicDataflow>>
+{
+  protected:
+    static constexpr std::size_t kRows = 64;  // L
+    static constexpr std::size_t kRef = 1500; // M
+};
+
+TEST_P(AsicCycleFormulaTest, ModelSumsSystolicPasses)
+{
+    stream::AsicSpec spec;
+    spec.arrayDim = std::get<0>(GetParam());
+    spec.dataflow = std::get<1>(GetParam());
+    const bool qs =
+        spec.dataflow == stream::AsicDataflow::QueryStationary;
+
+    // Walk the passes one by one: the dimension the array holds is
+    // cut into arrayDim-sized pieces, the other streams through.
+    std::uint64_t passes = 0;
+    std::uint64_t cycles = 2 * kRows;
+    for (std::size_t left = qs ? kRows : kRef; left > 0;) {
+        const std::size_t piece = std::min(spec.arrayDim, left);
+        cycles += qs ? SystolicArray::passCycles(piece, kRef)
+                     : SystolicArray::passCycles(kRows, piece);
+        left -= piece;
+        ++passes;
+    }
+    const auto m = modelDecision(spec, kRows, kRef, false, false);
+    EXPECT_EQ(m.passes, passes);
+    EXPECT_EQ(m.cycles, cycles);
+
+    if (passes != 1)
+        return;
+    EXPECT_EQ(m.cycles, AsicModel::classifyCycles(kRows, kRef));
+    Rng rng(spec.arrayDim);
+    const auto query = randomQuantSignal(kRows, rng);
+    const auto ref = randomQuantSignal(kRef, rng);
+    SystolicArray array(spec.arrayDim);
+    EXPECT_EQ(m.cycles, 2 * kRows + array.run(query, ref).cycles);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ArrayDims, AsicCycleFormulaTest,
+    ::testing::Combine(
+        ::testing::Values(std::size_t(1), std::size_t(63),
+                          std::size_t(64), std::size_t(65),
+                          std::size_t(2000)),
+        ::testing::Values(stream::AsicDataflow::QueryStationary,
+                          stream::AsicDataflow::ReferenceStationary)),
+    [](const auto &info) {
+        return std::string(stream::asicDataflowName(
+                   std::get<1>(info.param))) +
+               "_dim" + std::to_string(std::get<0>(info.param));
+    });
 
 // ---------------------------------------------------------------- //
 //    backend parity: asic decision logs == software, bit for bit    //

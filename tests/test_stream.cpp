@@ -4,8 +4,9 @@
  * the multi-channel ReadUntilSession — above all that streaming
  * decisions pin bit-identically to the offline classifier and that
  * the decision log is deterministic regardless of worker count,
- * queue capacity, or scheduling contention.  (BoundedQueue itself is
- * covered by tests/test_queue.cpp, in the quick suite.)
+ * queue capacity, or scheduling contention.  (The pool's
+ * QosQueue is covered by tests/test_queue.cpp, in the quick
+ * suite.)
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +22,7 @@
 namespace sf::stream {
 namespace {
 
-// The BoundedQueue unit and contention tests live in
+// The QosQueue unit and contention tests live in
 // tests/test_queue.cpp (quick label) so they run in every check.sh
 // mode; this suite covers the engine built on top of it.
 
