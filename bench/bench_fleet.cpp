@@ -5,11 +5,11 @@
  * one at a time, each with a pool of its own.
  *
  * The point under measurement is cross-session SIMD lane folding.  A
- * half-loaded flowcell (4 channels here) never has enough concurrent
- * decision requests to reach the lane kernel's serial cutover, so an
- * isolated session folds every dispatch through the scalar engine.
+ * half-loaded flowcell (4 channels here) rarely has enough concurrent
+ * decision requests to fill one vector group, so an isolated session
+ * folds most reads one at a time (BatchSdtw's single-read kernel).
  * The shared pool sees all sessions' requests in one queue, and one
- * worker dispatch folds them together at full SIMD width.  Decisions
+ * worker dispatch folds whole groups of them interleaved.  Decisions
  * are bit-identical either way (verified below); only wall-clock
  * throughput moves.
  *
@@ -44,9 +44,9 @@ constexpr std::size_t kChunkSamples = 1600; // 0.4 s at 4 kHz
 constexpr std::size_t kStages = 9;
 // Half-loaded flowcell: with the short-read stream dataset (~1-2
 // chunks per read) and the capture/recovery gaps below, a session
-// averages a handful of concurrent in-flight decisions — below the
-// SIMD serial cutover of every backend, so an isolated session folds
-// serially while the fleet's pooled requests cross the cutover.
+// averages a handful of concurrent in-flight decisions — short of one
+// AVX-512 vector group, so an isolated session folds reads one at a
+// time while the fleet's pooled requests fill whole groups.
 constexpr int kChannelsPerSession = 8;
 
 stream::SessionConfig
@@ -59,8 +59,8 @@ sessionConfig(std::size_t i)
     // decision is still in flight when the channel's next chunk
     // surfaces, so every channel keeps one request in the pool at all
     // times and a session continuously offers kChannelsPerSession
-    // concurrent requests — enough for the FLEET to cross the SIMD
-    // serial cutover while one isolated session stays below it.
+    // concurrent requests — enough for the FLEET to fill whole SIMD
+    // groups while one isolated session stays short of one.
     cfg.decisionLatencySec = cfg.chunkSeconds;
     // Busy pores: short capture and recovery gaps keep the duty
     // cycle high enough that the channel count above, not pore
@@ -134,9 +134,8 @@ main()
     // queue, so the fleet's cross-session requests meet in one pull
     // (raise SF_FLEET_WORKERS on hosts with cores to spare).  Eight
     // half-loaded flowcells offer ~4 concurrent decisions each, so
-    // one QoS class's four sessions together cross the widest SIMD
-    // serial cutover (12 lanes for AVX-512) that a lone session
-    // never reaches.
+    // one QoS class's four sessions together fill a 16-lane AVX-512
+    // group that a lone session never fills.
     const std::size_t sessions = envSize("SF_FLEET_SESSIONS", 8);
     const unsigned workers = unsigned(envSize("SF_FLEET_WORKERS", 1));
     const bool lane_batching = envFlag("SF_FLEET_LANE_BATCH", true);
@@ -160,6 +159,8 @@ main()
     std::uint64_t isolated_chunks = 0;
     std::uint64_t isolated_lane_jobs = 0;
     std::uint64_t isolated_lane_slots = 0;
+    std::uint64_t isolated_dispatches = 0;
+    std::uint64_t isolated_requests = 0;
     for (std::size_t i = 0; i < sessions; ++i) {
         fleet::FleetOrchestrator solo(
             fleetConfig(workers, lane_batching));
@@ -169,6 +170,8 @@ main()
         isolated_chunks += result.snapshot.chunksEmitted;
         isolated_lane_jobs += result.snapshot.laneJobs;
         isolated_lane_slots += result.snapshot.laneSlots;
+        isolated_dispatches += result.snapshot.dispatches;
+        isolated_requests += result.snapshot.dispatchedRequests;
         isolated_results.push_back(
             std::move(result.sessions.front().result));
     }
@@ -178,6 +181,10 @@ main()
     const double isolated_occ =
         isolated_lane_slots > 0
             ? double(isolated_lane_jobs) / double(isolated_lane_slots)
+            : 0.0;
+    const double isolated_batch =
+        isolated_dispatches > 0
+            ? double(isolated_requests) / double(isolated_dispatches)
             : 0.0;
 
     // ---- fleet run: all sessions sharing one pool.
@@ -221,7 +228,7 @@ main()
                   fmt(snap.wallSeconds, 2)});
     table.addRow({"SIMD lane occupancy", fmt(isolated_occ, 3),
                   fmt(snap.laneOccupancy, 3)});
-    table.addRow({"mean requests per dispatch", "-",
+    table.addRow({"mean requests per dispatch", fmt(isolated_batch, 2),
                   fmt(snap.meanBatchSize, 2)});
     table.addRow({"worst-session p99 (us)", "-", fmt(worst_p99, 1)});
     table.addRow({"stat dispatch share", "-", fmt(stat_share, 3)});
@@ -235,8 +242,8 @@ main()
     table.print();
 
     std::printf("Cross-session folding: %.2fx aggregate chunks/s over "
-                "isolated sessions (lane occupancy %.3f -> %.3f).\n",
-                fold_speedup, isolated_occ, snap.laneOccupancy);
+                "isolated sessions (%.2f -> %.2f requests per dispatch).\n",
+                fold_speedup, isolated_batch, snap.meanBatchSize);
 
     // Machine-readable line consumed by scripts/bench_gate.sh.
     std::printf("BENCH_FLEET_JSON {\"sessions\": %zu, \"workers\": %u, "
@@ -245,12 +252,13 @@ main()
                 "\"worst_p99_us\": %.1f, \"stat_share\": %.3f, "
                 "\"isolated_chunks_per_s\": %.2f, "
                 "\"isolated_occupancy\": %.4f, "
+                "\"isolated_mean_batch\": %.2f, "
                 "\"fold_speedup\": %.3f, \"logs_match\": %s, "
                 "\"lane_batching\": %s, \"simd\": \"%s\"}\n",
                 sessions, workers, snap.chunksPerSec,
                 snap.wallSeconds, snap.laneOccupancy,
                 snap.meanBatchSize, worst_p99, stat_share,
-                isolated_cps, isolated_occ, fold_speedup,
+                isolated_cps, isolated_occ, isolated_batch, fold_speedup,
                 logs_match ? "true" : "false",
                 lane_batching ? "true" : "false", simd);
     return logs_match ? 0 : 1;

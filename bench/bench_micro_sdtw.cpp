@@ -138,7 +138,9 @@ BM_QuantSdtw(benchmark::State &state)
 BENCHMARK(BM_QuantSdtw)
     ->Args({500, 10000})
     ->Args({2000, 10000})
-    ->Args({2000, 59796}); // SARS-CoV-2-sized reference
+    ->Args({2000, 12000})  // BM_SingleSdtw controls: the fleet
+    ->Args({2000, 59796})  // SARS-CoV-2-sized reference
+    ->Args({2000, 97000}); // and lambda-sized references
 
 void
 BM_QuantSdtwNoBonus(benchmark::State &state)
@@ -246,6 +248,49 @@ BM_BatchSdtwBackend(benchmark::State &state, sdtw::SimdBackend backend,
         double(kernel.planTileCols(ref_len, lanes_n)));
 }
 
+/**
+ * Single-read kernel: one 2000-sample read folded along the reference
+ * by BatchSdtw's single-read path, the kernel a narrow dispatch or a
+ * genome-scale reference takes.  Registered once per SIMD backend in
+ * main() (BM_SingleSdtw<avx512>/97000, ...; the 1-lane scalar backend
+ * has no single-read kernel); compare its cells/s with
+ * the same run's BM_QuantSdtw/2000/<ref_len> (the serial engine it
+ * replaces for narrow dispatches) and BM_BatchSdtw<simd>/8|16/<ref_len>
+ * (the interleaved kernel at half and full lane occupancy).
+ */
+void
+BM_SingleSdtwBackend(benchmark::State &state, sdtw::SimdBackend backend)
+{
+    if (!sdtw::simdBackendAvailable(backend)) {
+        state.SkipWithError("SIMD backend unavailable on this host");
+        return;
+    }
+    const auto ref_len = std::size_t(state.range(0));
+    constexpr std::size_t kQueryLen = 2000;
+    const auto query = randomQuant(kQueryLen, 100);
+    const auto ref = randomQuant(ref_len, 2);
+
+    sdtw::BatchSdtw kernel(sdtw::hardwareConfig(), 1, backend);
+    if (kernel.planInterleaved(ref_len, 1) != 0) {
+        state.SkipWithError("plan does not pick the single-read kernel");
+        return;
+    }
+    sdtw::QuantSdtw::State dp;
+    std::vector<sdtw::BatchLane> lanes(1);
+    for (auto _ : state) {
+        dp.reset();
+        lanes[0] = sdtw::BatchLane{&dp, query, {}};
+        kernel.processMany(lanes, ref);
+        benchmark::DoNotOptimize(lanes[0].result.cost);
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(kQueryLen) *
+                            std::int64_t(ref_len));
+    setThroughputCounters(state, double(kQueryLen), double(ref_len));
+    state.counters["lane_width"] =
+        benchmark::Counter(double(kernel.laneWidth()));
+}
+
 void
 BM_SystolicArraySim(benchmark::State &state)
 {
@@ -281,8 +326,19 @@ main(int argc, char **argv)
             name.c_str(), BM_BatchSdtwBackend, backend,
             /*untiled=*/false);
         bench->Args({16, 10000});
+        if (sdtw::simdLaneWidth(backend) > 1) {
+            const std::string single = std::string("BM_SingleSdtw<") +
+                                       sdtw::simdBackendName(backend) +
+                                       ">";
+            benchmark::RegisterBenchmark(single.c_str(),
+                                         BM_SingleSdtwBackend, backend)
+                ->Arg(12000)
+                ->Arg(97000);
+        }
         if (backend == best) {
             bench->Args({8, 10000})
+                ->Args({8, 12000})  // same-run controls for the
+                ->Args({16, 12000}) // BM_SingleSdtw rows
                 ->Args({32, 10000})
                 ->Args({16, 59796})  // SARS-CoV-2-sized reference
                 ->Args({8, 48000})   // genome-scale strips: the DP

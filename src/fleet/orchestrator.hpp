@@ -7,13 +7,13 @@
  *
  * Each ReadUntilSession models one flowcell, but a single half-loaded
  * flowcell rarely has enough concurrent in-flight decisions to fill a
- * SIMD lane batch — an AVX-512 fold wants 16 live requests, and below
- * the serial cutover the kernel drops to the scalar engine entirely.
- * The orchestrator shards many sessions over ONE worker pool so the
- * decision requests of different flowcells fold into the same lane
- * batches (grouped per classifier; a same-target surveillance fleet
- * folds full-width), recovering the SIMD throughput that isolated
- * per-session pools leave on the table.
+ * SIMD lane batch — an AVX-512 interleaved fold wants 16 live
+ * requests, and short of a whole group the kernel folds reads one at
+ * a time along the reference.  The orchestrator shards many sessions
+ * over ONE worker pool so the decision requests of different
+ * flowcells fold into the same lane batches (grouped per classifier;
+ * a same-target surveillance fleet folds full-width) and share one
+ * queue, one linger and one set of workers.
  *
  * Properties:
  *  - determinism: a session's decision log depends only on its seed,

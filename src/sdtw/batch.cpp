@@ -147,6 +147,23 @@ resolveFold(SimdBackend backend, const SdtwConfig &config, bool use_bonus)
     return detail::resolveFoldRowScalar(config, use_bonus);
 }
 
+/** The serial engine's post-fold summary of a checkpointed row. */
+QuantSdtw::Result
+summarise(const QuantSdtw::State &state)
+{
+    QuantSdtw::Result result;
+    result.rows = state.rowsDone;
+    result.cost = state.row[0];
+    result.refEnd = 0;
+    for (std::size_t j = 1; j < state.row.size(); ++j) {
+        if (state.row[j] < result.cost) {
+            result.cost = state.row[j];
+            result.refEnd = j;
+        }
+    }
+    return result;
+}
+
 } // namespace
 
 const char *
@@ -270,6 +287,25 @@ BatchSdtw::planTileCols(std::size_t reference_len,
     return std::min(std::max<std::size_t>(tile, 1), reference_len);
 }
 
+std::size_t
+BatchSdtw::planInterleaved(std::size_t reference_len,
+                           std::size_t lanes) const
+{
+    if (serialCutover_ <= 1)
+        return lanes;
+    if (fold_.foldRead == nullptr) // reference deletions, or scalar
+        return lanes >= serialCutover_ ? lanes : 0;
+    // Genome scale goes single-read for memory, not speed.  A group
+    // that needs a tiled walk folds about as fast end to end as
+    // single-read (flowcell-lambda, 97k columns: same chunks/s either
+    // way), but would grow a W x m interleaved scratch in every kernel
+    // instance (peak RSS 157 -> 97 MB there).  The line moves with
+    // the detected L2 size, as the tile budget does.
+    if (planTileCols(reference_len, width_) != reference_len)
+        return 0;
+    return lanes / width_ * width_;
+}
+
 void
 BatchSdtw::validate(std::span<BatchLane> lanes,
                     std::span<const NormSample> reference) const
@@ -295,23 +331,59 @@ BatchSdtw::processMany(std::span<BatchLane> lanes,
                        std::span<const NormSample> reference)
 {
     validate(lanes, reference);
-    if (lanes.size() < std::max<std::size_t>(serialCutover_, 1)) {
-        // Tiny batches: the serial engine (vectorised along the
-        // reference) wastes no lanes.  Results are identical.  For
-        // the occupancy accounting a serial fold of b jobs on a
-        // W-lane machine uses 1/W of the width it could have.
+    // Every path is bit-identical to the serial engine; the plan only
+    // decides which one wastes the fewest lanes.  Slot accounting:
+    // see FoldStats.
+    const std::size_t wide = planInterleaved(reference.size(), lanes.size());
+    const std::span<BatchLane> rest = lanes.subspan(wide);
+    foldStats_.laneJobs += lanes.size();
+    if (wide > 0) {
+        foldStats_.batchedCalls += 1;
+        foldStats_.laneSlots += (wide + width_ - 1) / width_ * width_;
+        runBatched(lanes.first(wide), reference);
+    } else {
         foldStats_.serialCalls += 1;
-        foldStats_.laneJobs += lanes.size();
-        foldStats_.laneSlots += lanes.size() * width_;
-        for (BatchLane &lane : lanes)
+    }
+    if (fold_.foldRead != nullptr) {
+        foldStats_.laneSlots += rest.size();
+        runSingle(rest, reference);
+    } else {
+        foldStats_.laneSlots += rest.size() * width_;
+        for (BatchLane &lane : rest)
             lane.result =
                 engine_.process(lane.query, reference, *lane.state);
-        return;
     }
-    foldStats_.batchedCalls += 1;
-    foldStats_.laneJobs += lanes.size();
-    foldStats_.laneSlots += ((lanes.size() + width_ - 1) / width_) * width_;
-    runBatched(lanes, reference);
+}
+
+void
+BatchSdtw::runSingle(std::span<BatchLane> lanes,
+                     std::span<const NormSample> reference)
+{
+    if (lanes.empty())
+        return;
+    const std::size_t m = reference.size();
+    refWide_.assign((m + width_ - 1) / width_ * width_, 0);
+    std::copy(reference.begin(), reference.end(), refWide_.begin());
+    const auto cap = std::uint8_t(config().dwellCap);
+    for (BatchLane &lane : lanes) {
+        QuantSdtw::State &state = *lane.state;
+        std::span<const NormSample> query = lane.query;
+        if (state.empty()) {
+            // Fresh start: the subsequence free-start row, exactly as
+            // the serial engine builds it.
+            state.row.resize(m);
+            state.dwell.assign(m, 1);
+            for (std::size_t j = 0; j < m; ++j)
+                state.row[j] = engine_.pointCost(query[0], reference[j]);
+            state.rowsDone = 1;
+            query = query.subspan(1);
+        }
+        fold_.foldRead(query.data(), query.size(), refWide_.data(), m,
+                       state.row.data(), state.dwell.data(), bonusUnit_,
+                       cap);
+        state.rowsDone += query.size();
+        lane.result = summarise(state);
+    }
 }
 
 void
@@ -360,18 +432,7 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
             state.dwell[j] = dwell_[j * width + s];
         }
         state.rowsDone = slot.rowsDone;
-
-        QuantSdtw::Result result;
-        result.rows = slot.rowsDone;
-        result.cost = state.row[0];
-        result.refEnd = 0;
-        for (std::size_t j = 1; j < m; ++j) {
-            if (state.row[j] < result.cost) {
-                result.cost = state.row[j];
-                result.refEnd = j;
-            }
-        }
-        lane.result = result;
+        lane.result = summarise(state);
         slot.lane = -1;
         --occupied;
     };

@@ -6,14 +6,28 @@
  * Lane-batched sDTW: align up to 32 independent reads per inner-loop
  * iteration (paper §5.1's pore-parallel tiles, done with SIMD lanes).
  *
- * The serial engine (sdtw/engine.hpp) rolls one read's DP row at a
- * time and leans on auto-vectorisation along the reference.  BatchSdtw
- * instead fills vector lanes with *different reads*: B in-flight
- * alignments share interleaved `[column][lane]` cost/dwell buffers,
- * and one explicit-intrinsics row fold advances all of them by one
- * query sample.  Because every lane is an independent alignment there
- * are no cross-lane dependencies at all — the inner loop is branch-
- * free and fully pipelined.
+ * BatchSdtw has two explicit-intrinsics kernels and picks per
+ * dispatch (planInterleaved()):
+ *  - the *interleaved* kernel fills vector lanes with different
+ *    reads: B in-flight alignments share interleaved
+ *    `[column][lane]` cost/dwell buffers, and one row fold advances
+ *    all of them by one query sample.  Every lane is an independent
+ *    alignment, so the inner loop is branch-free and fully
+ *    pipelined — but a dispatch of b reads pays for roundup(b, W)
+ *    lanes;
+ *  - the *single-read* kernel (configs without reference deletions,
+ *    paper §4.7) folds one read at a time, vectorised along the
+ *    reference: dropping the S[i][j-1] move leaves row i depending
+ *    only on row i-1, so W consecutive columns fold per instruction
+ *    and no lane is ever idle.
+ * Whole vector groups take the interleaved kernel when its untiled
+ * working set fits the L2 budget; the remainder lanes, narrow
+ * dispatches and genome-scale references take the single-read one.
+ * Reference-deletion configs keep the interleaved kernel above the
+ * serial cutover and the serial engine (sdtw/engine.hpp) below it, and
+ * so does the 1-lane scalar backend: one lane has nothing to vectorise
+ * along the reference, and the serial engine, which the compiler
+ * vectorises along it, is the faster one-read kernel there.
  *
  * Ragged batches are first-class: lanes have per-read query lengths,
  * retire as soon as their samples are exhausted, and are refilled from
@@ -26,10 +40,13 @@
  * The backend (AVX-512 / AVX2 / SSE2 / scalar) is picked by runtime
  * CPU dispatch, so binaries built with SF_KERNEL_NATIVE=OFF still run
  * everywhere; SF_SDTW_SIMD=scalar|sse2|avx2|avx512 forces a backend.
- * All backends are bit-identical to the serial QuantSdtw engine for
- * every configuration (tests/test_batch.cpp pins this).
+ * Both kernels on every backend are bit-identical to the serial
+ * QuantSdtw engine for every configuration (tests/test_batch.cpp pins
+ * this).
  *
- * Column tiling keeps genome-scale references cache-resident: a
+ * Column tiling keeps the interleaved kernel cache-resident when its
+ * working set outgrows L2 (several vector groups in flight, or a
+ * genome-scale reference forced through it by a test or bench): a
  * 16-lane batch against a ~97k-column reference owns ~8 MB of
  * interleaved state, so an untiled strip sweep streams it from DRAM
  * every 4 query rows.  The driver instead folds a *block* of query
@@ -94,19 +111,25 @@ struct BatchLane
 
 /**
  * SIMD-slot utilisation counters, accumulated across processMany()
- * calls.  A call with b jobs on a W-lane backend pays for
- * roundup(b, W) vector slots when it takes the batched path, and for
- * b * W slots when it falls below the serial cutover (a W-wide
- * machine folding one read at a time uses 1/W of its lanes).  The
- * ratio laneJobs/laneSlots is therefore the fraction of the SIMD
- * width doing useful work — the "lane occupancy" the fleet stats
- * snapshot and BENCH_fleet.json report.  Counters are plain integers
- * (the hot path stays float-free); divide outside the kernel.
+ * calls.  On a W-lane backend, b jobs folded by the interleaved
+ * kernel pay for roundup(b, W) vector slots; b jobs folded by the
+ * single-read kernel pay for b slots (their slots are their jobs:
+ * each read fills every lane with its own columns); b jobs folded by
+ * the serial engine, which reference-deletion configs and the scalar
+ * backend fall back to below the cutover, pay for b * W slots (a
+ * W-wide machine folding one read at a time without SIMD uses 1/W of
+ * its lanes).  The ratio laneJobs/laneSlots is therefore the fraction
+ * of the SIMD width doing useful work — the "lane occupancy" the fleet
+ * stats snapshot and BENCH_fleet.json report.  Counters are plain
+ * integers (the hot path stays float-free); divide outside the kernel.
  */
 struct FoldStats
 {
-    std::uint64_t batchedCalls = 0; //!< processMany calls folded wide
-    std::uint64_t serialCalls = 0;  //!< calls below the serial cutover
+    /** processMany calls that ran the interleaved kernel. */
+    std::uint64_t batchedCalls = 0;
+    /** Calls that did not: every job went one read at a time, to the
+        single-read kernel or the serial engine. */
+    std::uint64_t serialCalls = 0;
     std::uint64_t laneJobs = 0;     //!< lanes that carried a real read
     std::uint64_t laneSlots = 0;    //!< vector slots paid for them
     /** Column tiles walked by batched row blocks (1 per block when
@@ -131,14 +154,19 @@ class BatchSdtw
     static constexpr std::size_t kDefaultLaneCapacity = 32;
 
     /**
-     * Floor of the serial-vs-batched crossover.  The effective
-     * default scales with the backend: a batch always folds whole
-     * vector groups, so b jobs on a W-lane backend pay for
-     * roundup(b, W) lanes of work — below roughly 3/4 of a group the
-     * wasted lanes cost more than the SIMD gain and the serial engine
-     * (itself vectorised along the reference) wins.  The constructor
-     * therefore sets the cutover to max(kDefaultSerialCutover,
-     * 3 * laneWidth() / 4); setSerialCutover() overrides.
+     * Floor of the serial-vs-interleaved crossover for configs with
+     * reference deletions and for the scalar backend (neither has a
+     * single-read kernel).
+     * The effective default scales with the backend: the interleaved
+     * kernel always folds whole vector groups, so b jobs on a W-lane
+     * backend pay for roundup(b, W) lanes of work — below roughly 3/4
+     * of a group the wasted lanes cost more than the SIMD gain and
+     * the serial engine wins.  The constructor therefore sets the
+     * cutover to max(kDefaultSerialCutover, 3 * laneWidth() / 4);
+     * setSerialCutover() overrides.  On the SIMD backends, configs
+     * without reference deletions ignore the cutover
+     * (planInterleaved() splits them by whole vector groups) unless it
+     * is forced to 0 or 1.
      */
     static constexpr std::size_t kDefaultSerialCutover = 4;
 
@@ -170,10 +198,32 @@ class BatchSdtw
                      std::span<const NormSample> reference);
 
     /**
-     * Serial-vs-batched crossover threshold; 0 or 1 forces every call
-     * through the batched path (used by tests and benches).
+     * Serial-vs-interleaved crossover threshold of reference-deletion
+     * configs and the scalar backend; 0 or 1 forces every job of
+     * every config through the interleaved kernel (used by tests and
+     * benches).
      */
     void setSerialCutover(std::size_t min_lanes);
+
+    /**
+     * How many of a dispatch's @p lanes jobs against a
+     * @p reference_len-column reference processMany() folds with the
+     * interleaved kernel; it passes the first that many, and the rest
+     * go one read at a time — to the single-read kernel, or to the
+     * serial engine for reference-deletion configs and the scalar
+     * backend.  The rule:
+     *  - serial cutover forced to 0 or 1: all of them;
+     *  - reference deletions, or the scalar backend: all of them at or
+     *    above the cutover, none below;
+     *  - otherwise whole vector groups, and only while one group's
+     *    untiled working set fits the tile budget
+     *    (planTileCols(reference_len, laneWidth()) == reference_len);
+     *    genome-scale references go single-read entirely, which
+     *    spares the interleaved scratch at no measured throughput
+     *    cost.
+     */
+    std::size_t planInterleaved(std::size_t reference_len,
+                                std::size_t lanes) const;
 
     /**
      * Column-tile width override: 0 restores the auto heuristic
@@ -208,6 +258,8 @@ class BatchSdtw
                   std::span<const NormSample> reference) const;
     void runBatched(std::span<BatchLane> lanes,
                     std::span<const NormSample> reference);
+    void runSingle(std::span<BatchLane> lanes,
+                   std::span<const NormSample> reference);
 
     QuantSdtw engine_; //!< validates config; serial fallback path
     SimdBackend backend_;
@@ -225,6 +277,9 @@ class BatchSdtw
     std::vector<std::int32_t> qlane_;
     // Per-sweep tile-edge register carry slabs (see batch_kernel.hpp).
     std::vector<Cost> carry_;
+    // The reference widened for the single-read kernel, zero-padded
+    // to whole vector blocks.
+    std::vector<std::int32_t> refWide_;
 };
 
 } // namespace sf::sdtw

@@ -21,6 +21,7 @@ namespace {
 struct Avx512Ops
 {
     static constexpr int kMaxStrip = 4;
+    static constexpr int kMaxReadStrip = 4; // 32 zmm: 8 beat 4 nowhere
     static constexpr std::size_t W = 16;
     using Vec = __m512i;
     using Mask = __mmask16;
@@ -80,6 +81,16 @@ struct Avx512Ops
     {
         return _mm512_mask_add_epi32(one, kgt,
                                      _mm512_min_epi32(dw, capm1), one);
+    }
+    /**
+     * {carry[15], v[0], ..., v[14]}: one valignd.  (The all-lanes
+     * masked form avoids GCC's _mm512_undefined_epi32 pass-through,
+     * which trips -Wuninitialized, like storeDwell above.)
+     */
+    static Vec shiftInLane(Vec v, Vec carry)
+    {
+        return _mm512_mask_alignr_epi32(v, __mmask16(0xffff), v, carry,
+                                        15);
     }
 };
 

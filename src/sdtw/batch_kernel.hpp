@@ -12,23 +12,38 @@
  * call — the inter-sequence parallelisation of the classic SIMD
  * Smith-Waterman trick, applied to the paper's sDTW recurrence.
  *
+ * The second kernel, foldRead(), serves configurations without
+ * reference deletions on the SIMD backends.  There DP row i depends
+ * only on row i-1, so a single read can be vectorised along the
+ * reference instead: one vector holds W consecutive columns of the
+ * same read, and nothing is wasted when a dispatch carries fewer reads
+ * than a vector has lanes.
+ * BatchSdtw::planInterleaved() decides per dispatch which reads take
+ * which kernel.
+ *
  * Each backend translation unit (scalar in batch.cpp, batch_sse2.cpp,
- * batch_avx2.cpp, batch_avx512.cpp) instantiates the template below
+ * batch_avx2.cpp, batch_avx512.cpp) instantiates the templates below
  * with its own `Ops` vector-trait struct and exports a resolver that
- * maps an SdtwConfig onto the right specialisation.  The recurrence is
- * kept expression-for-expression identical to SdtwEngine::foldRow in
- * engine.cpp: batched costs are bit-exact against the serial engine
+ * maps an SdtwConfig onto the right specialisations.  Both recurrences
+ * are kept expression-for-expression identical to SdtwEngine::foldRow
+ * in engine.cpp: their costs are bit-exact against the serial engine
  * for every configuration (enforced by tests/test_batch.cpp).
  *
  * An `Ops` struct provides, over vectors of W unsigned 32-bit lanes:
- *   W, Vec, Mask,
+ *   W, Vec, Mask, kMaxStrip (deepest interleaved strip worth its
+ *   registers),
  *   broadcast(i32), loadI32, loadU32/storeU32, loadDwell/storeDwell
- *   (u8 memory <-> u32 lanes), addI32, subI32, mulI32 (low 32 bits),
- *   shlI32 (runtime count), absI32, minI32, minU32, maxU32,
- *   leU32/ltU32/gtU32 (unsigned compares producing a Mask),
- *   select(mask, if_true, if_false), and dwellBump (the fused
+ *   (exactly W bytes of u8 memory <-> u32 lanes), addI32, subI32,
+ *   mulI32 (low 32 bits), shlI32 (runtime count), absI32, minI32,
+ *   minU32, maxU32, leU32/ltU32/gtU32 (unsigned compares producing a
+ *   Mask), select(mask, if_true, if_false), dwellBump (the fused
  *   `kgt ? min(dw + 1, cap) : 1` update — AVX-512 folds it into one
- *   masked add).
+ *   masked add).  The SIMD backends (W > 1) also provide, for
+ *   foldRead() only, kMaxReadStrip (deepest single-read strip) and
+ *   shiftInLane(v, carry) = {carry[W-1], v[0], ..., v[W-2]}: v moved
+ *   up one lane with the top lane of the previous block shifted in
+ *   below it (valignd on AVX-512, permute2x128 + alignr on AVX2, a
+ *   byte-shift pair on SSE2).
  */
 
 #include <cstdint>
@@ -103,13 +118,36 @@ using FoldRowFn = void (*)(const std::int32_t *q, const NormSample *ref,
                            std::uint8_t cap, Cost *carry,
                            bool lead_tile);
 
-/** Strip variants a backend offers; the driver picks the deepest one
- * every in-flight lane has enough remaining samples for. */
+/**
+ * Fold @p n query samples of one read into its contiguous DP row, in
+ * place (the single-read kernel; no-reference-deletion configs only).
+ *
+ * @param q      the read's query samples, @p n of them
+ * @param ref    the reference widened to i32 and zero-padded to a
+ *               whole number of vector blocks (roundup(m, Ops::W)
+ *               entries), so block loads never need a tail mask
+ * @param m      reference columns
+ * @param row    the read's cost row, exactly @p m entries
+ * @param dwell  the read's capped dwell counters, exactly @p m
+ *               entries; neither buffer is read or written past m
+ */
+using FoldReadFn = void (*)(const NormSample *q, std::size_t n,
+                            const std::int32_t *ref, std::size_t m,
+                            Cost *row, std::uint8_t *dwell,
+                            Cost bonus_unit, std::uint8_t cap);
+
+/** Kernels a backend offers for one config.  For the interleaved
+ * kernel the driver picks the deepest strip every in-flight lane has
+ * enough remaining samples for. */
 struct FoldRowFns
 {
     FoldRowFn fold1 = nullptr; //!< 1 row per sweep
     FoldRowFn fold2 = nullptr; //!< 2 rows per sweep
     FoldRowFn fold4 = nullptr; //!< 4 rows per sweep
+    /** Single-read kernel; nullptr for reference-deletion configs,
+     * whose rows carry a dependency along the reference, and on the
+     * 1-lane scalar backend. */
+    FoldReadFn foldRead = nullptr;
 };
 
 /** Pointwise cost with the metric resolved at compile time. */
@@ -148,6 +186,27 @@ enum class BonusMode {
     Shift, //!< bonus_unit is a power of two: reward = dwell << log2
 };
 
+/** log2 of a power-of-two bonus unit (BonusMode::Shift). */
+inline int
+bonusShift(Cost bonus_unit)
+{
+    int shift = 0;
+    while ((Cost(1) << shift) < bonus_unit)
+        ++shift;
+    return shift;
+}
+
+/** The match-bonus reward for dwell @p dw, per BonusMode. */
+template <class Ops, BonusMode Bonus>
+inline typename Ops::Vec
+rewardV(typename Ops::Vec dw, typename Ops::Vec bonusv, int shift)
+{
+    if constexpr (Bonus == BonusMode::Shift)
+        return Ops::shlI32(dw, shift);
+    else
+        return Ops::mulI32(bonusv, dw);
+}
+
 /**
  * One batched strip update: fold rows i .. i+N-1 of every lane in a
  * single in-place sweep over the interleaved buffers.
@@ -183,11 +242,7 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
     const Vec capm1v = Ops::broadcast(std::int32_t(cap) - 1);
     const Vec onev = Ops::broadcast(1);
     const Vec bonusv = Ops::broadcast(std::int32_t(bonus_unit));
-    [[maybe_unused]] int bonus_shift = 0;
-    if constexpr (Bonus == BonusMode::Shift) {
-        while ((Cost(1) << bonus_shift) < bonus_unit)
-            ++bonus_shift;
-    }
+    [[maybe_unused]] const int bonus_shift = bonusShift(bonus_unit);
 
     for (std::size_t g = 0; g < groups; ++g) {
         const std::size_t base = g * Ops::W;
@@ -258,11 +313,9 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
                     Vec dwb = dwPrev[ts];
                     if constexpr (RefDel) // serial path re-caps here
                         dwb = Ops::minI32(dwb, capv);
-                    const Vec reward =
-                        Bonus == BonusMode::Shift
-                            ? Ops::shlI32(dwb, bonus_shift)
-                            : Ops::mulI32(bonusv, dwb);
-                    diag = satSubV<Ops>(diag, reward);
+                    diag = satSubV<Ops>(
+                        diag, rewardV<Ops, Bonus>(dwb, bonusv,
+                                                  bonus_shift));
                 }
                 // kgt = !take_diag; dwellBump computes the serial
                 // engine's `take_diag ? 1 : min(dw + 1, cap)` (dwell
@@ -304,6 +357,136 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
     }
 }
 
+/**
+ * One single-read strip: fold query rows i .. i+N-1 of one read in a
+ * single sweep along its contiguous row, W columns per block.
+ *
+ * Without reference deletions S[i][j] needs only S[i-1][j] (vertical)
+ * and the rewarded S[i-1][j-1] (diagonal).  The diagonal operand of a
+ * whole block is computed on the *unshifted* input vector —
+ * `pre = satSub(in, reward(dw))`, column j's own value — and then
+ * moved up one lane with shiftInLane(), the block's lane 0 taking the
+ * top lane of the previous block's `pre`.  So each strip row costs one
+ * shift and carries one register (that `pre`) from block to block,
+ * and rows t > 0 of the strip consume row t-1's fold output straight
+ * from registers, as in foldRowBatch().
+ *
+ * Column 0 has no diagonal predecessor.  The first block starts every
+ * carry at kCostMax, so min(diag, vert) there is the vertical cost,
+ * and a lane-0 mask forces the serial engine's vertical dwell update
+ * — which the compare alone would get wrong when vert is itself
+ * saturated at kCostMax (diag <= vert would then pick the diagonal).
+ *
+ * A last partial block is staged through a W-wide stack copy, so no
+ * load or store touches row or dwell memory past column m (SSE2 and
+ * AVX2 have no masked byte loads); the lanes past m fold garbage that
+ * nothing reads, because data only flows towards higher columns.
+ */
+template <class Ops, bool Squared, BonusMode Bonus, int N>
+void
+foldReadStrip(const NormSample *SF_BATCH_RESTRICT q,
+              const std::int32_t *SF_BATCH_RESTRICT ref, std::size_t m,
+              Cost *SF_BATCH_RESTRICT row,
+              std::uint8_t *SF_BATCH_RESTRICT dwell, Cost bonus_unit,
+              std::uint8_t cap)
+{
+    using Vec = typename Ops::Vec;
+    constexpr std::size_t W = Ops::W;
+    constexpr bool UseBonus = Bonus != BonusMode::Off;
+    const Vec capv = Ops::broadcast(std::int32_t(cap));
+    const Vec capm1v = Ops::broadcast(std::int32_t(cap) - 1);
+    const Vec onev = Ops::broadcast(1);
+    const Vec bonusv = Ops::broadcast(std::int32_t(bonus_unit));
+    const Vec zero = Ops::broadcast(0);
+    const Vec costMax = Ops::broadcast(-1);
+    [[maybe_unused]] const int bonus_shift = bonusShift(bonus_unit);
+    // Lane 0 only: the reference's first column.
+    const auto col0 =
+        Ops::gtU32(Ops::shiftInLane(zero, costMax), zero);
+
+    Vec qv[std::size_t(N)], carry[std::size_t(N)];
+    for (int t = 0; t < N; ++t) {
+        qv[std::size_t(t)] = Ops::broadcast(std::int32_t(q[t]));
+        carry[std::size_t(t)] = costMax;
+    }
+
+    const auto block = [&](auto lead, Cost *SF_BATCH_RESTRICT r,
+                           std::uint8_t *SF_BATCH_RESTRICT d,
+                           const std::int32_t *SF_BATCH_RESTRICT rf) {
+        const Vec refv = Ops::loadI32(rf);
+        Vec in = Ops::loadU32(r);
+        Vec dw = Ops::loadDwell(d);
+        for (int t = 0; t < N; ++t) {
+            const auto ts = std::size_t(t);
+            Vec pre = in;
+            if constexpr (UseBonus)
+                pre = satSubV<Ops>(
+                    in, rewardV<Ops, Bonus>(dw, bonusv, bonus_shift));
+            const Vec diag = Ops::shiftInLane(pre, carry[ts]);
+            carry[ts] = pre;
+            // As in foldRowBatch: kgt = !take_diag.
+            const auto kgt = Ops::gtU32(diag, in);
+            const Vec best = Ops::minU32(diag, in);
+            Vec ndw = Ops::dwellBump(dw, onev, capv, capm1v, kgt);
+            if constexpr (decltype(lead)::value)
+                ndw = Ops::select(
+                    col0, Ops::minI32(Ops::addI32(dw, onev), capv), ndw);
+            in = satAddV<Ops>(best,
+                              cellCostV<Ops, Squared>(qv[ts], refv));
+            dw = ndw;
+        }
+        Ops::storeU32(r, in);
+        Ops::storeDwell(d, dw);
+    };
+
+    // Stage a last partial block before the sweep, so one loop walks
+    // every block: with the tail folded after the loop GCC kept the
+    // carries on the stack, about 8% slower on AVX-512.
+    const std::size_t full = m / W;
+    const std::size_t j0 = full * W;
+    const std::size_t blocks = full + (j0 < m ? 1 : 0);
+    Cost tr[W] = {};
+    std::uint8_t td[W] = {};
+    for (std::size_t j = j0; j < m; ++j) {
+        tr[j - j0] = row[j];
+        td[j - j0] = dwell[j];
+    }
+    Cost *const rt = full > 0 ? row : tr;
+    std::uint8_t *const dt = full > 0 ? dwell : td;
+    block(std::true_type{}, rt, dt, ref);
+    for (std::size_t b = 1; b < blocks; ++b) {
+        const bool staged = b == full;
+        block(std::false_type{}, staged ? tr : row + b * W,
+              staged ? td : dwell + b * W, ref + b * W);
+    }
+    for (std::size_t j = j0; j < m; ++j) {
+        row[j] = tr[j - j0];
+        dwell[j] = td[j - j0];
+    }
+}
+
+/** The single-read kernel: @p n rows as the deepest strips that fit
+ * (Ops::kMaxReadStrip), then shallower ones for the remainder. */
+template <class Ops, bool Squared, BonusMode Bonus>
+void
+foldRead(const NormSample *q, std::size_t n, const std::int32_t *ref,
+         std::size_t m, Cost *row, std::uint8_t *dwell, Cost bonus_unit,
+         std::uint8_t cap)
+{
+    std::size_t i = 0;
+    if constexpr (Ops::kMaxReadStrip >= 4)
+        for (; n - i >= 4; i += 4)
+            foldReadStrip<Ops, Squared, Bonus, 4>(q + i, ref, m, row,
+                                                  dwell, bonus_unit, cap);
+    if constexpr (Ops::kMaxReadStrip >= 2)
+        for (; n - i >= 2; i += 2)
+            foldReadStrip<Ops, Squared, Bonus, 2>(q + i, ref, m, row,
+                                                  dwell, bonus_unit, cap);
+    for (; i < n; ++i)
+        foldReadStrip<Ops, Squared, Bonus, 1>(q + i, ref, m, row, dwell,
+                                              bonus_unit, cap);
+}
+
 /** Map runtime config switches to the right template instantiations. */
 template <class Ops>
 FoldRowFns
@@ -331,6 +514,10 @@ resolveFoldRow(const SdtwConfig &config, bool use_bonus)
             fns.fold2 = &foldRowBatch<Ops, S, R, B, 2>;
         if constexpr (Ops::kMaxStrip >= 4)
             fns.fold4 = &foldRowBatch<Ops, S, R, B, 4>;
+        // One lane has nothing to vectorise along the reference: the
+        // scalar backend keeps the serial engine for narrow dispatches.
+        if constexpr (!R && Ops::W > 1)
+            fns.foldRead = &foldRead<Ops, S, B>;
         return fns;
     };
     const auto with_bonus = [&](auto squared, auto refdel) {

@@ -22,6 +22,9 @@ namespace {
 struct Sse2Ops
 {
     static constexpr int kMaxStrip = 4;
+    // A single-read strip row keeps two registers live (its query
+    // broadcast and its carry); past 2 rows 16 xmm registers spill.
+    static constexpr int kMaxReadStrip = 2;
     static constexpr std::size_t W = 4;
     using Vec = __m128i;
     using Mask = __m128i;
@@ -105,6 +108,12 @@ struct Sse2Ops
     static Vec dwellBump(Vec dw, Vec one, Vec capv, Vec, Mask kgt)
     {
         return select(kgt, minI32(addI32(dw, one), capv), one);
+    }
+    /** {carry[3], v[0], v[1], v[2]}: a byte-shift pair. */
+    static Vec shiftInLane(Vec v, Vec carry)
+    {
+        return _mm_or_si128(_mm_slli_si128(v, 4),
+                            _mm_srli_si128(carry, 12));
     }
 };
 

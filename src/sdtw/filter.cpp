@@ -351,8 +351,9 @@ SquiggleFilterClassifier::processBatch(
     // are bit-identical to the serial per-read loop.  The block size
     // is capped so every worker thread gets work even for small
     // batches — thread fan-out beats SIMD occupancy when the two
-    // compete (the kernel falls back to its serial path for tiny
-    // blocks anyway).
+    // compete (and a tiny block wastes no lanes anyway: the kernel
+    // folds reads short of a vector group one at a time, vectorised
+    // along the reference).
     const unsigned workers =
         max_threads != 0 ? max_threads
                          : std::max(1u, std::thread::hardware_concurrency());

@@ -379,8 +379,10 @@ TEST(BatchSdtwTest, EmptyQueryWithResumedStateReportsCurrentRow)
 
 TEST(BatchSdtwTest, SerialCutoverPathIsAlsoBitIdentical)
 {
-    // Below the cutover processMany() delegates to the serial engine;
-    // results must be indistinguishable from the batched path.
+    // A one-read dispatch on the default plan: the single-read kernel
+    // for this config (the serial engine below the cutover for
+    // reference-deletion configs); results must match the serial
+    // engine's.
     Rng rng(0xc0feULL);
     const auto ref = randomQuantSignal(100, rng);
     const auto q = randomQuantSignal(50, rng);
@@ -683,6 +685,192 @@ TEST(BatchTilingTest, FoldStatsCountTilesAndBlocks)
     const FoldStats untiled = fold(SIZE_MAX);
     EXPECT_EQ(untiled.rowBlocks, 1u);
     EXPECT_EQ(untiled.colTiles, 1u);
+}
+
+// ---------------------------------------------------------------- //
+//     single-read kernel and the per-dispatch kernel plan           //
+// ---------------------------------------------------------------- //
+
+/** Configs the single-read kernel serves (no reference deletions):
+ * the hardware config (shift reward), no bonus, the squared metric, a
+ * non-power-of-two bonus (multiply reward) and both dwell-cap ends. */
+std::vector<SdtwConfig>
+singleReadConfigs()
+{
+    std::vector<SdtwConfig> configs(6, hardwareConfig());
+    configs[1].matchBonus = 0.0;
+    configs[2].metric = CostMetric::SquaredDifference;
+    configs[3].matchBonus = 3.0;
+    configs[4].dwellCap = 1;
+    configs[5].dwellCap = 255;
+    return configs;
+}
+
+TEST(BatchSingleReadTest, BitIdenticalToSerialOnEveryBackend)
+{
+    // Each fold carries three reads: a fresh one, one resumed from a
+    // serial checkpoint, and one resumed from a row preloaded near
+    // kCostMax (column 0 exactly saturated) with arbitrary dwell, so
+    // satAdd/satSub saturate and the column-0 dwell update meets a
+    // saturated vertical cost.  The odd query lengths leave remainders
+    // after every strip depth a backend has (4, 2 and 1 rows).
+    for (SimdBackend backend : availableBackends()) {
+        const std::size_t w = simdLaneWidth(backend);
+        if (w == 1)
+            continue; // no single-read kernel on one lane
+        for (const std::size_t m :
+             {std::size_t(1), w - 1, w, w + 1, std::size_t(12007)}) {
+            for (const SdtwConfig &config : singleReadConfigs()) {
+                Rng rng(0x5e1eULL ^ (m << 8) ^
+                        std::uint64_t(config.dwellCap));
+                const auto ref = randomQuantSignal(m, rng);
+                const QuantSdtw engine(config);
+
+                std::vector<QuantSdtw::State> states(3);
+                const auto prefix = randomQuantSignal(5, rng);
+                engine.process(prefix, ref, states[1]);
+                states[2].row.resize(m);
+                states[2].dwell.resize(m);
+                for (std::size_t j = 0; j < m; ++j) {
+                    states[2].row[j] =
+                        kCostMax - Cost(rng.uniformInt(0, 300));
+                    states[2].dwell[j] =
+                        std::uint8_t(rng.uniformInt(0, 255));
+                }
+                states[2].row[0] = kCostMax;
+                states[2].rowsDone = 9;
+
+                const std::vector<std::vector<NormSample>> queries{
+                    randomQuantSignal(m > 1000 ? 7 : 23, rng),
+                    randomQuantSignal(6, rng),
+                    randomQuantSignal(m > 1000 ? 5 : 13, rng)};
+                std::vector<BatchLane> lanes(3);
+                for (std::size_t i = 0; i < lanes.size(); ++i) {
+                    lanes[i].state = &states[i];
+                    lanes[i].query = queries[i];
+                }
+                const auto serial = states;
+
+                BatchSdtw kernel(config, 8, backend);
+                // A forced one-column tile makes every reference look
+                // genome-scale, so the plan sends all three reads to
+                // the single-read kernel on every backend.
+                kernel.setTileCols(1);
+                ASSERT_EQ(kernel.planInterleaved(m, lanes.size()), 0u);
+                kernel.processMany(lanes, ref);
+                EXPECT_EQ(kernel.foldStats().batchedCalls, 0u);
+                expectMatchesSerial(config, lanes, ref, serial,
+                                    simdBackendName(backend));
+            }
+        }
+    }
+}
+
+TEST(BatchSingleReadTest, PlanSplitsDispatchesByKernel)
+{
+    SdtwConfig refdel = hardwareConfig();
+    refdel.allowReferenceDeletion = true;
+    for (SimdBackend backend : availableBackends()) {
+        const std::size_t w = simdLaneWidth(backend);
+        SCOPED_TRACE(simdBackendName(backend));
+
+        const std::size_t cut = std::max<std::size_t>(
+            BatchSdtw::kDefaultSerialCutover, 3 * w / 4);
+        BatchSdtw kernel(hardwareConfig(), 32, backend);
+        if (w == 1) {
+            // Scalar: one lane has nothing to vectorise along the
+            // reference, so every config keeps the serial engine
+            // below the cutover and the interleaved kernel above it.
+            EXPECT_EQ(kernel.planInterleaved(4000, cut - 1), 0u);
+            EXPECT_EQ(kernel.planInterleaved(4000, cut), cut);
+            continue;
+        }
+        kernel.setTileCols(SIZE_MAX); // any reference fits the budget
+        // Narrow dispatch: fewer reads than one vector group.
+        EXPECT_EQ(kernel.planInterleaved(4000, w - 1), 0u);
+        // Whole groups interleaved, the remainder single-read.
+        EXPECT_EQ(kernel.planInterleaved(4000, 2 * w + 3), 2 * w);
+        EXPECT_EQ(kernel.planInterleaved(4000, 2 * w), 2 * w);
+
+        // Genome scale: once one group's working set needs tiling,
+        // every read goes single-read — forced tile, auto heuristic.
+        kernel.setTileCols(1000);
+        EXPECT_EQ(kernel.planInterleaved(4000, 2 * w), 0u);
+        EXPECT_EQ(kernel.planInterleaved(1000, 2 * w), 2 * w);
+        kernel.setTileCols(0);
+        const std::size_t genome = std::size_t(1) << 24;
+        ASSERT_LT(kernel.planTileCols(genome, w), genome);
+        EXPECT_EQ(kernel.planInterleaved(genome, 2 * w), 0u);
+
+        // Forced cutover: everything interleaved, genome scale too.
+        for (const std::size_t forced : {std::size_t(0), std::size_t(1)}) {
+            kernel.setSerialCutover(forced);
+            EXPECT_EQ(kernel.planInterleaved(4000, 1), 1u);
+            EXPECT_EQ(kernel.planInterleaved(genome, 2 * w + 3),
+                      2 * w + 3);
+        }
+
+        // Reference deletions: today's serial/interleaved split at
+        // the cutover, remainder lanes included above it.
+        BatchSdtw rd(refdel, 32, backend);
+        EXPECT_EQ(rd.planInterleaved(4000, cut - 1), 0u);
+        EXPECT_EQ(rd.planInterleaved(4000, cut), cut);
+        EXPECT_EQ(rd.planInterleaved(4000, 2 * w + 3), 2 * w + 3);
+        EXPECT_EQ(rd.planInterleaved(genome, 2 * w + 3), 2 * w + 3);
+        rd.setSerialCutover(0);
+        EXPECT_EQ(rd.planInterleaved(4000, 1), 1u);
+    }
+}
+
+TEST(BatchSingleReadTest, FoldStatsCountSingleReadSlotsAsJobs)
+{
+    Rng rng(0xf01dULL);
+    const std::size_t m = 100;
+    const auto ref = randomQuantSignal(m, rng);
+    SdtwConfig refdel = hardwareConfig();
+    refdel.allowReferenceDeletion = true;
+
+    const auto fold = [&](const SdtwConfig &config, SimdBackend backend,
+                          std::size_t b) {
+        std::vector<std::vector<NormSample>> queries(b);
+        std::vector<QuantSdtw::State> states(b);
+        std::vector<BatchLane> lanes(b);
+        for (std::size_t i = 0; i < b; ++i) {
+            queries[i] = randomQuantSignal(10, rng);
+            lanes[i].state = &states[i];
+            lanes[i].query = queries[i];
+        }
+        BatchSdtw kernel(config, 32, backend);
+        kernel.setTileCols(SIZE_MAX);
+        kernel.processMany(lanes, ref);
+        return kernel.foldStats();
+    };
+
+    for (SimdBackend backend : availableBackends()) {
+        const std::size_t w = simdLaneWidth(backend);
+        SCOPED_TRACE(simdBackendName(backend));
+        // Whole groups plus a single-read remainder: one interleaved
+        // call, and every slot paid for carried a read.
+        const FoldStats mixed = fold(hardwareConfig(), backend, 2 * w + 3);
+        EXPECT_EQ(mixed.batchedCalls, 1u);
+        EXPECT_EQ(mixed.serialCalls, 0u);
+        EXPECT_EQ(mixed.laneJobs, 2 * w + 3);
+        EXPECT_EQ(mixed.laneSlots, 2 * w + 3);
+        // Narrow dispatch: one read at a time, slots are jobs (the
+        // single-read kernel; the serial engine on the 1-lane scalar
+        // backend).
+        const FoldStats narrow = fold(hardwareConfig(), backend, 1);
+        EXPECT_EQ(narrow.batchedCalls, 0u);
+        EXPECT_EQ(narrow.serialCalls, 1u);
+        EXPECT_EQ(narrow.laneJobs, 1u);
+        EXPECT_EQ(narrow.laneSlots, 1u);
+        // Reference deletions below the cutover: the serial engine
+        // uses 1/W of the width.
+        const FoldStats serial = fold(refdel, backend, 1);
+        EXPECT_EQ(serial.serialCalls, 1u);
+        EXPECT_EQ(serial.laneJobs, 1u);
+        EXPECT_EQ(serial.laneSlots, w);
+    }
 }
 
 // ---------------------------------------------------------------- //
