@@ -1,8 +1,8 @@
 /**
  * @file
- * Microbenchmarks of the substrates: signal simulation, event
- * detection, minimizer indexing/mapping, FM-index queries, and the
- * discrete-event Read Until sequencer.
+ * Microbenchmarks of the substrates: signal simulation, minimizer
+ * indexing/mapping, FM-index queries, and the discrete-event Read
+ * Until sequencer.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,8 +12,6 @@
 #include "fmindex/fm_index.hpp"
 #include "pipeline/experiments.hpp"
 #include "readuntil/sequencer.hpp"
-#include "signal/dataset.hpp"
-#include "signal/event.hpp"
 
 using namespace sf;
 
@@ -36,22 +34,6 @@ BM_SignalSimulation(benchmark::State &state)
                             state.range(0));
 }
 BENCHMARK(BM_SignalSimulation)->Arg(1000)->Arg(4000);
-
-void
-BM_EventDetection(benchmark::State &state)
-{
-    const auto dataset = pipeline::makeLambdaDataset(1, 0xbe);
-    std::vector<double> pa;
-    const signal::Adc adc;
-    for (auto code : dataset.reads.front().raw)
-        pa.push_back(adc.toPa(code));
-    const signal::EventDetector detector;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(detector.detect(pa));
-    state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                            std::int64_t(pa.size()));
-}
-BENCHMARK(BM_EventDetection);
 
 void
 BM_AlignerMap(benchmark::State &state)

@@ -48,10 +48,12 @@ Seven rules, each encoding a correctness contract of this codebase:
                            knowledge; they see one kernel API.
                            Likewise CPU-affinity syscalls
                            (pthread_setaffinity_np, sched_setaffinity,
-                           cpu_set_t) live only in
-                           src/common/topology.* — every other layer
-                           pins through topo::pinThreadToCpu so the
-                           graceful-no-op fallback stays in one place.
+                           cpu_set_t) may appear only in
+                           src/common/topology.*, which today makes
+                           none: thread placement is the OS
+                           scheduler's, and any future pinning must
+                           keep its unsupported-host fallback in that
+                           one place.
 
   env-knob-docs            Every SF_* environment knob read anywhere
                            in the tree must be documented in
@@ -378,10 +380,10 @@ def rule_tiling_containment(root: Path, findings: List[Finding]):
                 findings.append(
                     Finding(rule, f"{rel}:{line_of(text, m.start())}",
                             f"raw affinity token '{m.group(0)}' "
-                            "outside src/common/topology.*; pin "
-                            "through topo::pinThreadToCpu so the "
-                            "unsupported-host fallback stays in one "
-                            "place"))
+                            "outside src/common/topology.*; thread "
+                            "placement belongs to one helper there, "
+                            "so the unsupported-host fallback stays "
+                            "in one place"))
 
 
 # ------------------------------------------------------------------ #

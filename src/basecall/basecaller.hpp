@@ -3,45 +3,22 @@
 
 /**
  * @file
- * Basecaller interface.
+ * Basecall accuracy metric.
  *
  * The baseline Read Until pipeline (paper §3.1, Figure 4) basecalls a
  * read prefix with a DNN (Guppy) and aligns the bases with MiniMap2.
- * Guppy itself is closed-source and GPU-bound, so this library offers
- * two substitutes (see DESIGN.md §1): a genuine pore-model Viterbi
- * decoder and a ground-truth oracle with controlled error injection.
- * Their *computational* cost is modelled separately in perf_model.hpp
- * using the paper's published constants.
+ * Guppy itself is closed-source and GPU-bound, so this library
+ * substitutes a ground-truth oracle with controlled error injection
+ * (oracle.hpp) and models Guppy's *computational* cost separately in
+ * perf_model.hpp using the paper's published constants.  The identity
+ * metric below scores a called sequence against the ground truth.
  */
 
 #include <vector>
 
 #include "genome/base.hpp"
-#include "signal/read.hpp"
 
 namespace sf::basecall {
-
-/** Abstract squiggle-to-bases decoder. */
-class Basecaller
-{
-  public:
-    virtual ~Basecaller() = default;
-
-    /**
-     * Decode the first @p prefix_samples raw samples of @p read into
-     * bases (all samples when the prefix exceeds the read).
-     */
-    virtual std::vector<genome::Base>
-    call(const signal::ReadRecord &read,
-         std::size_t prefix_samples) const = 0;
-
-    /** Decode the complete read. */
-    std::vector<genome::Base>
-    callAll(const signal::ReadRecord &read) const
-    {
-        return call(read, read.raw.size());
-    }
-};
 
 /**
  * Base-level identity between a called sequence and the ground truth,

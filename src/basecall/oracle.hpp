@@ -10,9 +10,11 @@
  */
 
 #include <cstdint>
+#include <vector>
 
-#include "basecall/basecaller.hpp"
 #include "common/rng.hpp"
+#include "genome/base.hpp"
+#include "signal/read.hpp"
 
 namespace sf::basecall {
 
@@ -39,14 +41,25 @@ ErrorProfile guppyHacProfile();
 ErrorProfile guppyFastProfile();
 
 /** Ground-truth basecaller with error injection. */
-class OracleBasecaller : public Basecaller
+class OracleBasecaller
 {
   public:
     explicit OracleBasecaller(ErrorProfile profile = {});
 
+    /**
+     * Decode the first @p prefix_samples raw samples of @p read into
+     * bases (all samples when the prefix exceeds the read).
+     */
     std::vector<genome::Base>
     call(const signal::ReadRecord &read,
-         std::size_t prefix_samples) const override;
+         std::size_t prefix_samples) const;
+
+    /** Decode the complete read. */
+    std::vector<genome::Base>
+    callAll(const signal::ReadRecord &read) const
+    {
+        return call(read, read.raw.size());
+    }
 
     /** The error profile in effect. */
     const ErrorProfile &profile() const { return profile_; }

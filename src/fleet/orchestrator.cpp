@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/topology.hpp"
 
 namespace sf::fleet {
 
@@ -226,8 +225,8 @@ FleetOrchestrator::addSession(SessionSpec spec)
         asicSpec_ = spec.config.asic;
         hasAsic_ = true;
     }
-    const std::uint32_t id = pool_.addSession(
-        spec.qos, config_.sessionQuota, spec.config.backend);
+    const std::uint32_t id =
+        pool_.addSession(spec.qos, spec.config.backend);
     sessions_.push_back(
         std::make_unique<SessionState>(std::move(spec)));
     if (id != std::uint32_t(sessions_.size() - 1))
@@ -250,11 +249,7 @@ FleetOrchestrator::run()
     // The pool builds every worker's backends on THIS thread (a fatal
     // configuration must not fire inside a pool thread); every fleet
     // session shares the kernel config (enforced in addSession).
-    // Drivers are placed after the workers on the same node-compact
-    // plan; pinning never changes a decision log.
-    const std::vector<int> driverCpus = pool_.start(
-        sessions_.front()->spec.classifier->config(), asicSpec_,
-        config_.pinWorkers, sessions_.size());
+    pool_.start(sessions_.front()->spec.classifier->config(), asicSpec_);
 
     // One driver thread per session: each runs its own virtual-time
     // event loop and blocks (backpressure) independently.
@@ -262,16 +257,12 @@ FleetOrchestrator::run()
     drivers.reserve(sessions_.size());
     for (std::size_t i = 0; i < sessions_.size(); ++i) {
         SessionState &state = *sessions_[i];
-        drivers.emplace_back(
-            [this, &state, i, cpu = driverCpus[i]] {
-                if (cpu >= 0)
-                    topo::pinThreadToCpu(cpu);
-                const stream::ReadUntilSession session(
-                    *state.spec.classifier, state.spec.config);
-                state.result = session.runShared(
-                    pool_, state.spec.reads, std::uint32_t(i),
-                    &state.live);
-            });
+        drivers.emplace_back([this, &state, i] {
+            const stream::ReadUntilSession session(*state.spec.classifier,
+                                                   state.spec.config);
+            state.result = session.runShared(pool_, state.spec.reads,
+                                             std::uint32_t(i), &state.live);
+        });
     }
     for (std::thread &driver : drivers)
         driver.join();

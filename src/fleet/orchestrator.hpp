@@ -21,8 +21,8 @@
  *    session runs alone under run() or in any fleet mix, at any worker
  *    count, under any QoS interleaving;
  *  - backpressure, never drops: admission control blocks a session's
- *    capture clock (wall time only) when the shared queue is full or
- *    the session exceeds its quota — no chunk is ever discarded;
+ *    capture clock (wall time only) when the shared queue is full —
+ *    no chunk is ever discarded;
  *  - QoS: clinical Stat sessions preempt Research at every dispatch,
  *    with a statBurst starvation bound for the Research class (see
  *    stream::QosQueue);
@@ -63,28 +63,11 @@ struct FleetConfig
     std::size_t queueCapacity = 256;
     /** Max requests per worker pull (= max SIMD fold width used). */
     std::size_t dispatchBatch = 16;
-    /**
-     * Admission quota: max queued requests per session (0 =
-     * unlimited, only the shared capacity throttles).  A session over
-     * quota blocks at capture time; chunks are never dropped.
-     */
-    std::size_t sessionQuota = 0;
     /** Research starvation bound: a queued Research dispatch waits at
         most this many consecutive Stat dispatches.  Must be >= 1. */
     std::size_t statBurst = 4;
     /** Fold cross-session dispatches as SIMD lane batches. */
     bool laneBatching = true;
-    /**
-     * Topology-aware placement: pin pool workers and session driver
-     * threads to cpus (sf::topo::planPlacement, node-compact, workers
-     * first) so each worker's lane-batch kernel scratch and the
-     * sessions it serves stay on one NUMA node instead of bouncing
-     * tiled batch state between sockets.  Decision logs are
-     * bit-identical with pinning on or off — placement may only move
-     * wall-clock latency (pinned in tests/test_fleet.cpp) — and the
-     * knob is a graceful no-op on hosts without affinity support.
-     */
-    bool pinWorkers = false;
 };
 
 /** One flowcell session to shard onto the shared pool. */
@@ -161,8 +144,10 @@ struct FleetSnapshot
     std::uint64_t dispatches = 0;      //!< worker batch pulls
     std::uint64_t dispatchedRequests = 0;
     double meanBatchSize = 0.0;
-    /** SIMD lane telemetry: laneJobs/laneSlots = occupancy in [0,1];
-        serial-engine folds count 1/width per lane slot burned. */
+    /** SIMD lane telemetry: laneJobs/laneSlots = occupancy in [0,1].
+        One job per read folded; an interleaved fold of b reads pays
+        roundup(b, width) slots, a single-read fold one slot per read,
+        and a serial-engine fold width slots per read. */
     std::uint64_t laneJobs = 0;
     std::uint64_t laneSlots = 0;
     double laneOccupancy = 0.0;

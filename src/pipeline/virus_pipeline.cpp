@@ -10,7 +10,7 @@ namespace sf::pipeline {
 VirusDetectionPipeline::VirusDetectionPipeline(
     const genome::Genome &reference,
     const pore::ReferenceSquiggle &reference_squiggle,
-    const basecall::Basecaller &basecaller, PipelineOptions options)
+    const basecall::OracleBasecaller &basecaller, PipelineOptions options)
     : reference_(reference), referenceSquiggle_(reference_squiggle),
       basecaller_(basecaller), options_(options),
       aligner_(reference), classifier_(reference_squiggle)

@@ -15,7 +15,7 @@
 
 #include "align/aligner.hpp"
 #include "assembly/assembler.hpp"
-#include "basecall/basecaller.hpp"
+#include "basecall/oracle.hpp"
 #include "common/stats.hpp"
 #include "genome/genome.hpp"
 #include "genome/mutate.hpp"
@@ -74,7 +74,7 @@ class VirusDetectionPipeline
      */
     VirusDetectionPipeline(const genome::Genome &reference,
                            const pore::ReferenceSquiggle &reference_squiggle,
-                           const basecall::Basecaller &basecaller,
+                           const basecall::OracleBasecaller &basecaller,
                            PipelineOptions options = {});
 
     /** Process a full specimen and produce the report. */
@@ -86,7 +86,7 @@ class VirusDetectionPipeline
   private:
     const genome::Genome &reference_;
     const pore::ReferenceSquiggle &referenceSquiggle_;
-    const basecall::Basecaller &basecaller_;
+    const basecall::OracleBasecaller &basecaller_;
     PipelineOptions options_;
     align::ReadAligner aligner_;
     sdtw::SquiggleFilterClassifier classifier_;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/topology.hpp"
 #include "sdtw/batch.hpp"
 
 namespace sf::stream {
@@ -25,18 +24,16 @@ DecisionPool::DecisionPool(unsigned workers, std::size_t queue_capacity,
 DecisionPool::~DecisionPool() { shutdown(); }
 
 std::uint32_t
-DecisionPool::addSession(QosClass qos, std::size_t quota,
-                         DecisionBackendKind backend)
+DecisionPool::addSession(QosClass qos, DecisionBackendKind backend)
 {
     if (started_)
         panic("DecisionPool::addSession after start()");
     kindInUse_[std::size_t(backend)] = true;
-    return queue_.registerSession(qos, quota);
+    return queue_.registerSession(qos);
 }
 
-std::vector<int>
-DecisionPool::start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic,
-                    bool pin, std::size_t companions)
+void
+DecisionPool::start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic)
 {
     if (started_)
         panic("DecisionPool::start called twice");
@@ -56,19 +53,10 @@ DecisionPool::start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic,
                                              asic, kernel, lanes,
                                              laneBatching_);
 
-    // Node-compact placement, workers first, then the companions — a
-    // pool smaller than one node shares that node end to end.
-    std::vector<int> cpus(workers_ + companions, -1);
-    if (pin)
-        cpus = topo::planPlacement(cpus.size());
     threads_.reserve(workers_);
     for (unsigned w = 0; w < workers_; ++w)
-        threads_.emplace_back([this, cpu = cpus[w], &set = backends_[w]] {
-            if (cpu >= 0)
-                topo::pinThreadToCpu(cpu);
-            workerMain(set);
-        });
-    return {cpus.begin() + workers_, cpus.end()};
+        threads_.emplace_back(
+            [this, &set = backends_[w]] { workerMain(set); });
 }
 
 void

@@ -90,31 +90,23 @@ class DecisionPool
 
     /**
      * Register a session before start(); returns the id its requests
-     * carry as DecisionRequest::sessionId.  @p quota caps its queued
-     * requests (0 = only the shared capacity), @p backend is the
-     * engine its requests fold on.
+     * carry as DecisionRequest::sessionId.  @p backend is the engine
+     * its requests fold on.
      */
-    std::uint32_t addSession(QosClass qos, std::size_t quota,
-                             DecisionBackendKind backend);
+    std::uint32_t addSession(QosClass qos, DecisionBackendKind backend);
 
     /**
      * Build every worker's backends on THIS thread — a configuration
      * a backend cannot implement fatals here, before any worker
      * exists — and start the workers.  @p kernel is the SdtwConfig
      * every registered classifier shares; @p asic is consulted only
-     * if a session selected the Asic backend.  With @p pin, workers
-     * are pinned node-compact (topo::planPlacement) and the cpus
-     * planned for @p companions further caller threads (e.g. session
-     * drivers) are returned, in order; without it every entry is -1.
-     * Pinning moves wall-clock time only, never a decision.
+     * if a session selected the Asic backend.
      */
-    std::vector<int> start(const sdtw::SdtwConfig &kernel,
-                           const AsicSpec &asic, bool pin,
-                           std::size_t companions = 0);
+    void start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic);
 
     /**
      * Enqueue @p request for its session (request.sessionId).  Blocks
-     * while the queue is full or the session is over quota; returns
+     * while the queue is full; returns
      * false only after shutdown(), when no completion will arrive.
      */
     bool

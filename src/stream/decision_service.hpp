@@ -117,7 +117,7 @@ struct DecisionRequest
     bool endOfRead = false;
     CompletionBoard *board = nullptr;
     std::size_t slot = 0;        //!< channel index within the board
-    std::uint32_t sessionId = 0; //!< admission bookkeeping (fleet)
+    std::uint32_t sessionId = 0; //!< per-session queue depth/stalls
     /** Engine the submitting session selected; a shared fleet pool
         routes each request to its worker's backend of this kind. */
     DecisionBackendKind backend = DecisionBackendKind::Software;

@@ -18,11 +18,11 @@
  *    at least a 1/(statBurst+1) dispatch share under full contention.
  *
  * Dispatches are class-pure (one popBatch never mixes classes) so the
- * per-class latency split stays measurable.  Admission control is per
- * session: each registered session may hold at most @p quota queued
- * requests (0 = unlimited); a push over quota or over total capacity
- * blocks — throttling the pushing session's capture clock in wall
- * time — and never drops.  Blocking waits are woken by close().
+ * per-class latency split stays measurable.  Admission control is the
+ * shared capacity: a push into a full queue blocks — throttling the
+ * pushing session's capture clock in wall time — and never drops.
+ * Each registered session keeps its own depth and stall gauges.
+ * Blocking waits are woken by close().
  */
 
 #include <array>
@@ -56,7 +56,7 @@ qosClassName(QosClass cls)
 
 /**
  * Blocking bounded FIFO with two service classes and per-session
- * admission quotas: push blocks under backpressure and returns false
+ * gauges: push blocks under backpressure and returns false
  * only when closed, popBatch drains up to a batch and returns false
  * when closed and empty, and dispatches follow the Stat-over-Research
  * policy above.
@@ -87,20 +87,19 @@ class QosQueue
 
     /**
      * Register a session and return its id (the sessionId to push
-     * with).  @p quota caps the session's queued requests (admission
-     * control); 0 means only the shared capacity bounds it.
+     * with).
      */
     std::uint32_t
-    registerSession(QosClass cls, std::size_t quota)
+    registerSession(QosClass cls)
     {
         std::lock_guard lock(mutex_);
-        sessions_.push_back(SessionSlot{cls, quota, 0});
+        sessions_.push_back(SessionSlot{cls, 0, 0});
         return std::uint32_t(sessions_.size() - 1);
     }
 
     /**
      * Enqueue @p item for @p session, blocking while the queue is at
-     * capacity or the session is over its admission quota.  The block
+     * capacity.  The block
      * is the backpressure: the session's capture clock stalls in wall
      * time (its virtual-time log is unaffected) and no chunk is ever
      * dropped.  Returns false if the queue was closed.
@@ -114,13 +113,11 @@ class QosQueue
                   unsigned(session));
         SessionSlot &slot = sessions_[session];
         const auto admitted_or_closed = [&] {
-            return closed_ ||
-                   (total_ < capacity_ &&
-                    (slot.quota == 0 || slot.depth < slot.quota));
+            return closed_ || total_ < capacity_;
         };
         if (!admitted_or_closed()) {
             // Backpressure stall: the push is about to block (queue
-            // at capacity or session over quota).  Wall-clock-only
+            // at capacity).  Wall-clock-only
             // observability — a storm that saturates the queue shows
             // up here, never as a dropped chunk.
             ++slot.stalls;
@@ -282,7 +279,6 @@ class QosQueue
     struct SessionSlot
     {
         QosClass cls = QosClass::Research;
-        std::size_t quota = 0;     //!< 0 = unlimited
         std::size_t depth = 0;     //!< queued requests right now
         std::uint64_t stalls = 0;  //!< pushes that had to block
     };

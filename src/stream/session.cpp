@@ -648,8 +648,8 @@ ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
                       config_.dispatchBatch, /*stat_burst=*/1,
                       config_.laneBatching);
     const std::uint32_t id =
-        pool.addSession(QosClass::Research, /*quota=*/0, config_.backend);
-    pool.start(classifier_.config(), config_.asic, /*pin=*/false);
+        pool.addSession(QosClass::Research, config_.backend);
+    pool.start(classifier_.config(), config_.asic);
     SessionResult out =
         runEventLoop(classifier_, config_, reads, pool, id,
                      /*live=*/nullptr);

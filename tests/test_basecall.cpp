@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the basecalling substrates: identity metric, oracle error
- * injection, Viterbi pore-model decoding, and the Guppy performance
- * model's calibration against the paper's published numbers.
+ * injection, and the Guppy performance model's calibration against
+ * the paper's published numbers.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "basecall/basecaller.hpp"
 #include "basecall/oracle.hpp"
 #include "basecall/perf_model.hpp"
-#include "basecall/viterbi.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "genome/synthetic.hpp"
@@ -112,41 +111,6 @@ TEST(Oracle, DeterministicPerRead)
 TEST(Oracle, InvalidProfileIsFatal)
 {
     EXPECT_THROW(OracleBasecaller({0.5, 0.3, 0.3, 1}), FatalError);
-}
-
-TEST(Viterbi, DecodesCleanSignalAccurately)
-{
-    const ViterbiBasecaller viterbi(pipeline::defaultKmerModel());
-    const auto read = makeRead(250, 9);
-    const auto called = viterbi.callAll(read);
-    ASSERT_FALSE(called.empty());
-    const double identity = basecallIdentity(called, read.bases);
-    // Event-HMM decoding tops out near Nanocall-era accuracy
-    // (~60-70%): event segmentation errors and affine normalisation
-    // ambiguity bound it well below modern DNN basecallers, which is
-    // exactly why the paper treats Guppy as the baseline and why the
-    // oracle basecaller handles controlled-accuracy sweeps here.
-    EXPECT_GT(identity, 0.55);
-    // Length must be in the right ballpark (no runaway stays/skips).
-    EXPECT_NEAR(double(called.size()), double(read.bases.size()),
-                0.3 * double(read.bases.size()));
-}
-
-TEST(Viterbi, EmptySignalYieldsNothing)
-{
-    const ViterbiBasecaller viterbi(pipeline::defaultKmerModel());
-    signal::ReadRecord empty;
-    EXPECT_TRUE(viterbi.callAll(empty).empty());
-}
-
-TEST(Viterbi, InvalidConfigIsFatal)
-{
-    ViterbiConfig config;
-    config.stayProb = 0.7;
-    config.skipProb = 0.5;
-    EXPECT_THROW(
-        ViterbiBasecaller(pipeline::defaultKmerModel(), {}, config),
-        FatalError);
 }
 
 TEST(PerfModel, PublishedOpsCounts)

@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/topology.hpp"
 
 namespace sf {
 namespace {
@@ -289,50 +288,6 @@ TEST(Logging, FatalThrowsWithMessage)
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find("42"), std::string::npos);
     }
-}
-
-TEST(CpuList, FlatFormsParse)
-{
-    EXPECT_EQ(topo::parseCpuList("3"), (std::vector<int>{3}));
-    EXPECT_EQ(topo::parseCpuList("0-3"), (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(topo::parseCpuList("0-2,8,10-11"),
-              (std::vector<int>{0, 1, 2, 8, 10, 11}));
-    // sysfs files end in a newline.
-    EXPECT_EQ(topo::parseCpuList("4-5\n"), (std::vector<int>{4, 5}));
-}
-
-TEST(CpuList, StrideGroupsParse)
-{
-    // Kernel bitmap_parselist stride form: from each group of 8
-    // starting at 0, take the first 4.
-    std::vector<int> want;
-    for (int g = 0; g <= 63; g += 8)
-        for (int c = g; c < g + 4; ++c)
-            want.push_back(c);
-    EXPECT_EQ(topo::parseCpuList("0-63:4/8"), want);
-    // Strides compose with unions, and a trailing partial group is
-    // clipped at hi.
-    EXPECT_EQ(topo::parseCpuList("0-9:2/4,16"),
-              (std::vector<int>{0, 1, 4, 5, 8, 9, 16}));
-    EXPECT_EQ(topo::parseCpuList("0-63:4/8\n"), want);
-}
-
-TEST(CpuList, MalformedInputsYieldEmptyNotWrongPlacement)
-{
-    // The regression this guards: a lenient parser turned
-    // "0-63:4/8" into the full 0-63 superset.  Anything unparseable
-    // must yield EMPTY so the probe falls back to the flat plan.
-    EXPECT_TRUE(topo::parseCpuList("").empty());
-    EXPECT_TRUE(topo::parseCpuList("abc").empty());
-    EXPECT_TRUE(topo::parseCpuList("0-").empty());
-    EXPECT_TRUE(topo::parseCpuList("3-1").empty());
-    EXPECT_TRUE(topo::parseCpuList("0-3x").empty());
-    EXPECT_TRUE(topo::parseCpuList("0-3,").empty());
-    EXPECT_TRUE(topo::parseCpuList("0-63:4").empty());   // no /group
-    EXPECT_TRUE(topo::parseCpuList("0-63:0/8").empty()); // used < 1
-    EXPECT_TRUE(topo::parseCpuList("0-63:9/8").empty()); // used > grp
-    EXPECT_TRUE(topo::parseCpuList("0-63:4/0").empty()); // group < 1
-    EXPECT_TRUE(topo::parseCpuList("-1-3").empty());
 }
 
 TEST(EnvKnobs, UnsetYieldsFallback)

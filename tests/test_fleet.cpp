@@ -522,30 +522,6 @@ TEST_F(FleetTest, PerSessionLogsMatchStandaloneAcrossFleetAndWorkers)
     }
 }
 
-TEST_F(FleetTest, PerSessionLogsMatchStandaloneWithAffinityPinning)
-{
-    // Same determinism matrix with topology-aware worker placement
-    // turned on (pinning off is the matrix above).  Pinning routes
-    // threads onto planned cores; on hosts without affinity support
-    // it degrades to a no-op.  Either way it may only move wall-clock
-    // latency — every decision log must stay bit-identical.
-    for (unsigned workers : kWorkerCounts) {
-        FleetConfig cfg;
-        cfg.workers = workers;
-        cfg.queueCapacity = 32;
-        cfg.dispatchBatch = 16;
-        cfg.pinWorkers = true;
-        const FleetResult result = runFleet(kMaxFleet, cfg);
-        ASSERT_EQ(result.sessions.size(), kMaxFleet);
-        for (std::size_t i = 0; i < kMaxFleet; ++i) {
-            expectLogsEqual(
-                result.sessions[i].result, standalone(i),
-                "pinned workers=" + std::to_string(workers) +
-                    " session=" + std::to_string(i));
-        }
-    }
-}
-
 TEST_F(FleetTest, SerialFoldFleetMatchesLaneBatchedFleet)
 {
     // laneBatching only changes wall-clock throughput, fleet-wide.
@@ -620,14 +596,12 @@ TEST_F(FleetTest, StatPreemptsResearchUnderSharedPoolContention)
 
 TEST_F(FleetTest, BackpressureThrottlesButNeverDropsAChunk)
 {
-    // Worst-case contention: a 2-slot shared queue and a 1-request
-    // admission quota per session.  Sessions block at capture time;
-    // every read of every session must still be decided exactly once
+    // Worst-case contention: a 2-slot shared queue for two sessions.
+    // Sessions block at capture time; every read of every session must still be decided exactly once
     // with a log identical to the uncontended standalone run.
     FleetConfig cfg;
     cfg.workers = 2;
     cfg.queueCapacity = 2;
-    cfg.sessionQuota = 1;
     cfg.dispatchBatch = 2;
     const FleetResult result = runFleet(2, cfg);
 

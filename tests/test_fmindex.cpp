@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the FM-index substrate and the UNCALLED-style raw-signal
- * mapper, including the FM-index == naive-search property sweep.
+ * Tests for the FM-index substrate, including the FM-index == naive-search
+ * property sweep.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +12,7 @@
 #include "common/rng.hpp"
 #include "fmindex/fm_index.hpp"
 #include "fmindex/suffix_array.hpp"
-#include "fmindex/uncalled.hpp"
 #include "genome/synthetic.hpp"
-#include "pipeline/experiments.hpp"
-#include "signal/dataset.hpp"
 
 namespace sf::fmindex {
 namespace {
@@ -150,113 +147,6 @@ TEST(FmIndex, PositionLimitRespected)
     const auto range = index.locateRange(single);
     EXPECT_GT(range.count(), 100u);
     EXPECT_EQ(index.positions(range, 10).size(), 10u);
-}
-
-class UncalledTest : public ::testing::Test
-{
-  protected:
-    UncalledTest()
-        : classifier_(pipeline::lambdaGenome(),
-                      pipeline::defaultKmerModel())
-    {}
-
-    signal::Dataset
-    makeData(std::size_t per_class)
-    {
-        return pipeline::makeLambdaDataset(per_class, 0x517e);
-    }
-
-    UncalledClassifier classifier_;
-};
-
-TEST_F(UncalledTest, MapsTargetsMoreThanBackground)
-{
-    const auto data = makeData(16);
-    std::size_t target_mapped = 0, target_total = 0;
-    std::size_t decoy_mapped = 0, decoy_total = 0;
-    for (const auto &read : data.reads) {
-        if (read.raw.size() < 2000)
-            continue;
-        const auto result =
-            classifier_.classify(read.prefix(2000));
-        if (read.isTarget()) {
-            ++target_total;
-            target_mapped += result.mapped;
-        } else {
-            ++decoy_total;
-            decoy_mapped += result.mapped;
-        }
-    }
-    ASSERT_GT(target_total, 4u);
-    ASSERT_GT(decoy_total, 4u);
-    const double target_rate =
-        double(target_mapped) / double(target_total);
-    const double decoy_rate = double(decoy_mapped) / double(decoy_total);
-    // This mapper is weaker than real UNCALLED (simple beam decoder,
-    // synthetic pore model) but must show the paper's §8 shape: high
-    // precision, a solid target/decoy gap, and a substantial fraction
-    // of short prefixes left unalignable (~24% in the paper, more
-    // here).
-    EXPECT_GT(target_rate, 0.25);
-    EXPECT_LT(decoy_rate, 0.15);
-    EXPECT_GT(target_rate, decoy_rate + 0.2);
-    EXPECT_LT(target_rate, 1.0);
-}
-
-TEST_F(UncalledTest, LongerPrefixMapsMoreTargets)
-{
-    const auto data = makeData(12);
-    std::size_t short_mapped = 0, long_mapped = 0, total = 0;
-    for (const auto &read : data.reads) {
-        if (!read.isTarget() || read.raw.size() < 4000)
-            continue;
-        ++total;
-        short_mapped += classifier_.classify(read.prefix(1000)).mapped;
-        long_mapped += classifier_.classify(read.prefix(4000)).mapped;
-    }
-    ASSERT_GT(total, 3u);
-    EXPECT_GE(long_mapped, short_mapped);
-}
-
-TEST_F(UncalledTest, EmptySignalDoesNotMap)
-{
-    const auto result = classifier_.classify({});
-    EXPECT_FALSE(result.mapped);
-    EXPECT_EQ(result.eventCount, 0u);
-}
-
-TEST_F(UncalledTest, GreedyDecodeProducesBases)
-{
-    const auto data = makeData(2);
-    for (const auto &read : data.reads) {
-        if (!read.isTarget() || read.raw.size() < 2000)
-            continue;
-        std::vector<double> pa(2000);
-        const signal::Adc adc;
-        for (std::size_t i = 0; i < pa.size(); ++i)
-            pa[i] = adc.toPa(read.raw[i]);
-        const signal::EventDetector detector;
-        const auto decoded =
-            classifier_.greedyDecode(detector.detect(pa));
-        EXPECT_GT(decoded.size(), 120u);
-        break;
-    }
-}
-
-TEST(Uncalled, InvalidConfigIsFatal)
-{
-    UncalledConfig config;
-    config.seedLength = 3;
-    EXPECT_THROW(UncalledClassifier(text_genome(),
-                                    pipeline::defaultKmerModel(), {},
-                                    config),
-                 FatalError);
-    config = UncalledConfig{};
-    config.seedStride = 0;
-    EXPECT_THROW(UncalledClassifier(text_genome(),
-                                    pipeline::defaultKmerModel(), {},
-                                    config),
-                 FatalError);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "basecall/basecaller.hpp"
 #include "basecall/oracle.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"

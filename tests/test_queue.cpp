@@ -39,8 +39,8 @@ struct Item
 TEST(QosQueueTest, StatDispatchesBeforeQueuedResearch)
 {
     QosQueue<Item> queue(16, /*statBurst=*/4);
-    const auto research = queue.registerSession(QosClass::Research, 0);
-    const auto stat = queue.registerSession(QosClass::Stat, 0);
+    const auto research = queue.registerSession(QosClass::Research);
+    const auto stat = queue.registerSession(QosClass::Stat);
 
     // Research arrives first, Stat after — Stat still dispatches
     // first, and dispatches are class-pure.
@@ -67,8 +67,8 @@ TEST(QosQueueTest, ResearchStarvationIsBoundedByStatBurst)
 {
     constexpr std::size_t kBurst = 2;
     QosQueue<Item> queue(64, kBurst);
-    const auto stat = queue.registerSession(QosClass::Stat, 0);
-    const auto research = queue.registerSession(QosClass::Research, 0);
+    const auto stat = queue.registerSession(QosClass::Stat);
+    const auto research = queue.registerSession(QosClass::Research);
 
     // Both classes saturated: Research must be served at least every
     // kBurst+1 dispatches even though Stat never runs dry.
@@ -105,41 +105,10 @@ TEST(QosQueueTest, ResearchStarvationIsBoundedByStatBurst)
     EXPECT_EQ(research_seen, 4u);
 }
 
-TEST(QosQueueTest, AdmissionQuotaBlocksUntilDispatchFreesIt)
-{
-    QosQueue<Item> queue(16, 4);
-    const auto s = queue.registerSession(QosClass::Research, /*quota=*/1);
-
-    ASSERT_TRUE(queue.push(s, Item{s, 1}));
-    EXPECT_EQ(queue.depth(s), 1u);
-
-    // Second push exceeds the quota: it must block (throttle), not
-    // drop, and complete once a dispatch frees the slot.
-    std::atomic<bool> pushed{false};
-    std::thread pusher([&] {
-        ASSERT_TRUE(queue.push(s, Item{s, 2}));
-        pushed.store(true, std::memory_order_release);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(pushed.load(std::memory_order_acquire))
-        << "push over quota must block";
-
-    std::vector<Item> batch;
-    ASSERT_TRUE(queue.popBatch(batch, 8, nullptr));
-    pusher.join();
-    EXPECT_TRUE(pushed.load(std::memory_order_acquire));
-    EXPECT_EQ(queue.depth(s), 1u); // item 2 queued now
-    batch.clear();
-    ASSERT_TRUE(queue.popBatch(batch, 8, nullptr));
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].value, 2);
-    EXPECT_EQ(queue.depth(s), 0u);
-}
-
 TEST(QosQueueTest, CloseWakesBlockedProducerAndDrainsConsumers)
 {
     QosQueue<Item> queue(1, 4);
-    const auto s = queue.registerSession(QosClass::Stat, 0);
+    const auto s = queue.registerSession(QosClass::Stat);
     ASSERT_TRUE(queue.push(s, Item{s, 1})); // at capacity
 
     std::atomic<bool> refused{false};
@@ -169,7 +138,7 @@ TEST(QosQueueTest, LingerExpiryOnDrainedOpenQueueKeepsWorkerAlive)
     // permanently retires the worker's dispatch loop and silently
     // degrades the pool.
     QosQueue<Item> queue(8, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
     constexpr auto kLinger = std::chrono::milliseconds(100);
 
     std::vector<Item> dispatched;
@@ -212,8 +181,8 @@ TEST(QosQueueTest, LingerFillTargetIsTheServedClassNotTheTotal)
     // Research items must not end a linger that is building a Stat
     // batch of one.
     QosQueue<Item> queue(16, /*statBurst=*/8);
-    const auto stat = queue.registerSession(QosClass::Stat, 0);
-    const auto research = queue.registerSession(QosClass::Research, 0);
+    const auto stat = queue.registerSession(QosClass::Stat);
+    const auto research = queue.registerSession(QosClass::Research);
 
     ASSERT_TRUE(queue.push(stat, Item{stat, 1}));
     for (int i = 0; i < 4; ++i)
@@ -254,7 +223,7 @@ TEST(QosQueueTest, StormBurstOverCapacityBlocksAndNeverDrops)
     QosQueue<Item> queue(4, /*statBurst=*/4);
     std::vector<std::uint32_t> ids;
     for (std::size_t p = 0; p < kProducers; ++p)
-        ids.push_back(queue.registerSession(QosClass::Research, 0));
+        ids.push_back(queue.registerSession(QosClass::Research));
 
     std::mutex seen_mutex;
     std::multiset<int> seen;
@@ -303,8 +272,8 @@ TEST(QosQueueTest, StatLatencyBoundHoldsMidStorm)
     // next dispatch — the storm may not add even one Research
     // dispatch to Stat's wait.
     QosQueue<Item> queue(64, /*statBurst=*/4);
-    const auto research = queue.registerSession(QosClass::Research, 0);
-    const auto stat = queue.registerSession(QosClass::Stat, 0);
+    const auto research = queue.registerSession(QosClass::Research);
+    const auto stat = queue.registerSession(QosClass::Stat);
     for (int i = 0; i < 32; ++i)
         ASSERT_TRUE(queue.push(research, Item{research, i}));
 
@@ -331,7 +300,7 @@ TEST(QosQueueTest, CloseDuringStormWakesAllBlockedProducers)
     // after the close.
     constexpr std::size_t kBlocked = 6;
     QosQueue<Item> queue(2, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
     ASSERT_TRUE(queue.push(s, Item{s, 0}));
     ASSERT_TRUE(queue.push(s, Item{s, 1})); // at capacity
 
@@ -365,7 +334,7 @@ TEST(QosQueueTest, InvalidParametersAreFatal)
     EXPECT_THROW(QosQueue<Item>(16, 0), FatalError);
     QosQueue<Item> queue(4, 1);
     EXPECT_THROW(queue.push(7, Item{7, 0}), FatalError);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
     ASSERT_TRUE(queue.push(s, Item{s, 1}));
     std::vector<Item> batch;
     EXPECT_THROW(queue.popBatch(batch, 0), FatalError);
@@ -385,7 +354,7 @@ TEST(QosQueueTest, InvalidParametersAreFatal)
 TEST(BoundedQueue, FifoSingleThread)
 {
     QosQueue<Item> queue(8, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
     for (int i = 0; i < 5; ++i)
         EXPECT_TRUE(queue.push(s, Item{s, i}));
     std::vector<Item> batch;
@@ -401,7 +370,7 @@ TEST(BoundedQueue, FifoSingleThread)
 TEST(BoundedQueue, BatchPopRespectsLimitAndOrder)
 {
     QosQueue<Item> queue(16, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
     for (int i = 0; i < 10; ++i)
         ASSERT_TRUE(queue.push(s, Item{s, i}));
     std::vector<Item> batch;
@@ -416,7 +385,7 @@ TEST(BoundedQueue, BatchPopRespectsLimitAndOrder)
 TEST(BoundedQueue, CloseDrainsThenRefuses)
 {
     QosQueue<Item> queue(4, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
     ASSERT_TRUE(queue.push(s, Item{s, 1}));
     ASSERT_TRUE(queue.push(s, Item{s, 2}));
     queue.close();
@@ -438,7 +407,7 @@ TEST(BoundedQueue, ZeroCapacityIsFatal)
 TEST(BoundedQueue, ZeroBatchPopIsFatal)
 {
     QosQueue<Item> queue(4, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
     ASSERT_TRUE(queue.push(s, Item{s, 1}));
     std::vector<Item> batch;
     EXPECT_THROW(queue.popBatch(batch, 0), FatalError);
@@ -447,7 +416,7 @@ TEST(BoundedQueue, ZeroBatchPopIsFatal)
 TEST(BoundedQueue, BackpressureBlocksProducerUntilConsumed)
 {
     QosQueue<Item> queue(2, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
     std::atomic<int> produced{0};
     std::thread producer([&] {
         for (int i = 0; i < 50; ++i) {
@@ -468,7 +437,7 @@ TEST(BoundedQueue, BackpressureBlocksProducerUntilConsumed)
 TEST(BoundedQueue, CloseWakesBlockedProducerWithoutEnqueuing)
 {
     QosQueue<Item> queue(1, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
     ASSERT_TRUE(queue.push(s, Item{s, 7})); // now full
     std::atomic<bool> push_returned{false};
     std::atomic<bool> push_result{true};
@@ -500,7 +469,7 @@ TEST(BoundedQueue, CloseWakesBlockedProducerWithoutEnqueuing)
 TEST(BoundedQueue, CloseWakesBlockedConsumer)
 {
     QosQueue<Item> queue(4, 4);
-    queue.registerSession(QosClass::Research, 0);
+    queue.registerSession(QosClass::Research);
     std::atomic<bool> pop_returned{false};
     std::atomic<bool> pop_result{true};
     std::thread consumer([&] {
@@ -528,7 +497,7 @@ TEST(BoundedQueue, FifoOrderPreservedPerProducerUnderSingleConsumer)
     constexpr int kProducers = 4;
     constexpr int kPerProducer = 200;
     QosQueue<Item> queue(3, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
 
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p)
@@ -565,7 +534,7 @@ TEST(BoundedQueue, ManyProducersManyConsumersDeliverEachItemOnce)
     constexpr int kTotal = kProducers * kPerProducer;
     constexpr std::size_t kBatch = 7;
     QosQueue<Item> queue(5, 4);
-    const auto s = queue.registerSession(QosClass::Research, 0);
+    const auto s = queue.registerSession(QosClass::Research);
 
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p)

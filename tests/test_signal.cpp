@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for sf::signal — ADC, the nanopore signal simulator,
- * dataset generation and event segmentation.
+ * and dataset generation.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "pore/kmer_model.hpp"
 #include "signal/adc.hpp"
 #include "signal/dataset.hpp"
-#include "signal/event.hpp"
 #include "signal/read.hpp"
 #include "signal/simulator.hpp"
 
@@ -267,62 +266,6 @@ TEST_F(DatasetTest, InvalidFractionIsFatal)
     DatasetSpec spec;
     spec.targetFraction = 1.5;
     EXPECT_THROW(gen_.generate(spec), FatalError);
-}
-
-TEST(EventDetector, SegmentsCleanStepSignal)
-{
-    // Three flat levels of 30 samples each, no noise.
-    std::vector<double> signal;
-    for (double level : {80.0, 110.0, 95.0}) {
-        for (int i = 0; i < 30; ++i)
-            signal.push_back(level);
-    }
-    const EventDetector detector;
-    const auto events = detector.detect(signal);
-    ASSERT_EQ(events.size(), 3u);
-    EXPECT_NEAR(events[0].meanPa, 80.0, 0.5);
-    EXPECT_NEAR(events[1].meanPa, 110.0, 0.5);
-    EXPECT_NEAR(events[2].meanPa, 95.0, 0.5);
-}
-
-TEST(EventDetector, EventCountTracksBaseCount)
-{
-    // On simulated data the number of events should be within a
-    // factor ~2 of the number of k-mer steps.
-    SimulatorConfig config;
-    config.noiseScale = 0.5;
-    const genome::Genome g =
-        genome::makeSynthetic("t", {.length = 300, .seed = 60});
-    const SignalSimulator sim(model(), config);
-    ReadRecord read;
-    read.bases = g.bases();
-    Rng rng(61);
-    sim.simulate(read, rng);
-
-    std::vector<double> pa;
-    pa.reserve(read.raw.size());
-    for (auto code : read.raw)
-        pa.push_back(sim.adc().toPa(code));
-
-    const EventDetector detector;
-    const auto events = detector.detect(pa);
-    const double ratio =
-        double(events.size()) / double(read.dwells.size());
-    EXPECT_GT(ratio, 0.4);
-    EXPECT_LT(ratio, 2.0);
-}
-
-TEST(EventDetector, ShortSignalYieldsNothing)
-{
-    const EventDetector detector;
-    EXPECT_TRUE(detector.detect(std::vector<double>(5, 100.0)).empty());
-}
-
-TEST(EventDetector, DegenerateWindowIsFatal)
-{
-    EventDetectorConfig config;
-    config.window = 1;
-    EXPECT_THROW(EventDetector{config}, FatalError);
 }
 
 } // namespace
