@@ -250,8 +250,8 @@ BM_BatchSdtwBackend(benchmark::State &state, sdtw::SimdBackend backend,
 
 /**
  * Single-read kernel: one 2000-sample read folded along the reference
- * by BatchSdtw's single-read path, the kernel a narrow dispatch or a
- * genome-scale reference takes.  Registered once per SIMD backend in
+ * by BatchSdtw's single-read path, the kernel dispatches narrower than
+ * b* (and remainders below it) take.  Registered once per SIMD backend in
  * main() (BM_SingleSdtw<avx512>/97000, ...; the 1-lane scalar backend
  * has no single-read kernel); compare its cells/s with
  * the same run's BM_QuantSdtw/2000/<ref_len> (the serial engine it
@@ -271,7 +271,7 @@ BM_SingleSdtwBackend(benchmark::State &state, sdtw::SimdBackend backend)
     const auto ref = randomQuant(ref_len, 2);
 
     sdtw::BatchSdtw kernel(sdtw::hardwareConfig(), 1, backend);
-    if (kernel.planInterleaved(ref_len, 1) != 0) {
+    if (kernel.planInterleaved(1) != 0) {
         state.SkipWithError("plan does not pick the single-read kernel");
         return;
     }
@@ -289,6 +289,60 @@ BM_SingleSdtwBackend(benchmark::State &state, sdtw::SimdBackend backend)
     setThroughputCounters(state, double(kQueryLen), double(ref_len));
     state.counters["lane_width"] =
         benchmark::Counter(double(kernel.laneWidth()));
+}
+
+/**
+ * The production plan: b 2000-sample reads folded by processMany()
+ * with the default planInterleaved() rule (no forced cutover), so the
+ * row measures whichever kernel split production takes at this shape
+ * — single-read below b*, whole groups plus a padded or single-read
+ * remainder above it.  cells/s counts only the reads' own cells,
+ * never padding.  Registered for the best backend in main() at the
+ * widths the perfbench workloads dispatch (BM_BatchSdtwPlan<avx512>/
+ * 13/12000, ...); the bench gate holds each row against the faster of
+ * the same run's forced kernels at its shape, BM_BatchSdtw<simd>/b/m
+ * and BM_SingleSdtw<simd>/m.
+ */
+void
+BM_BatchSdtwPlanBackend(benchmark::State &state, sdtw::SimdBackend backend)
+{
+    if (!sdtw::simdBackendAvailable(backend)) {
+        state.SkipWithError("SIMD backend unavailable on this host");
+        return;
+    }
+    const auto lanes_n = std::size_t(state.range(0));
+    const auto ref_len = std::size_t(state.range(1));
+    constexpr std::size_t kQueryLen = 2000;
+
+    std::vector<std::vector<NormSample>> queries(lanes_n);
+    for (std::size_t i = 0; i < lanes_n; ++i)
+        queries[i] = randomQuant(kQueryLen, 100 + i);
+    const auto ref = randomQuant(ref_len, 2);
+
+    sdtw::BatchSdtw kernel(sdtw::hardwareConfig(),
+                           sdtw::BatchSdtw::kDefaultLaneCapacity, backend);
+    std::vector<sdtw::QuantSdtw::State> states(lanes_n);
+    std::vector<sdtw::BatchLane> lanes(lanes_n);
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < lanes_n; ++i) {
+            states[i].reset();
+            lanes[i].state = &states[i];
+            lanes[i].query = queries[i];
+        }
+        kernel.processMany(lanes, ref);
+        benchmark::DoNotOptimize(lanes[0].result.cost);
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(lanes_n) *
+                            std::int64_t(kQueryLen) *
+                            std::int64_t(ref_len));
+    setThroughputCounters(state,
+                          double(lanes_n) * double(kQueryLen),
+                          double(ref_len));
+    state.counters["interleaved"] =
+        benchmark::Counter(double(kernel.planInterleaved(lanes_n)));
+    state.counters["b_star"] =
+        benchmark::Counter(double(kernel.interleaveMinLanes()));
 }
 
 void
@@ -325,7 +379,7 @@ main(int argc, char **argv)
         auto *bench = benchmark::RegisterBenchmark(
             name.c_str(), BM_BatchSdtwBackend, backend,
             /*untiled=*/false);
-        bench->Args({16, 10000});
+        bench->Args({16, 10000})->Args({16, 12000}); // b* table rates
         if (sdtw::simdLaneWidth(backend) > 1) {
             const std::string single = std::string("BM_SingleSdtw<") +
                                        sdtw::simdBackendName(backend) +
@@ -337,14 +391,28 @@ main(int argc, char **argv)
         }
         if (backend == best) {
             bench->Args({8, 10000})
-                ->Args({8, 12000})  // same-run controls for the
-                ->Args({16, 12000}) // BM_SingleSdtw rows
+                ->Args({4, 12000})  // same-run controls for the
+                ->Args({8, 12000})  // BM_SingleSdtw and
+                ->Args({13, 12000}) // BM_BatchSdtwPlan rows
                 ->Args({32, 10000})
                 ->Args({16, 59796})  // SARS-CoV-2-sized reference
                 ->Args({8, 48000})   // genome-scale strips: the DP
                 ->Args({16, 48000})  // rows outgrow L2 and tiling
                 ->Args({8, 97000})   // has to keep cells/s flat
                 ->Args({16, 97000});
+            // The production plan at the widths the workloads
+            // dispatch: the fleets' 11,990-sample reference, and
+            // flowcell-lambda's 96,994.
+            const std::string plan = std::string("BM_BatchSdtwPlan<") +
+                                     sdtw::simdBackendName(backend) +
+                                     ">";
+            benchmark::RegisterBenchmark(plan.c_str(),
+                                         BM_BatchSdtwPlanBackend, backend)
+                ->Args({4, 12000})
+                ->Args({8, 12000})
+                ->Args({13, 12000})
+                ->Args({16, 12000})
+                ->Args({8, 97000});
             // Same genome shapes with tiling forced off — the A/B
             // control quantifying what the column tiles buy.
             const std::string ab =

@@ -9,7 +9,12 @@
 #      below the 'batched' baselines (only shapes/backends this host
 #      can measure are checked), or
 #    - the best batched backend stops beating the same-run serial
-#      kernel (ratio floor 1.1: lane batching must never be a loss), or
+#      kernel (ratio floor 1.1: lane batching must never be a loss),
+#    - a production-plan row (BM_BatchSdtwPlan<simd>/<b>/<m>, the
+#      default interleaved/single-read split) falls more than the
+#      margin below the faster of the same run's forced kernels at its
+#      shape (BM_BatchSdtw<simd>/<b>/<m> and BM_SingleSdtw<simd>/<m>),
+#      or
 #    - a genome-scale batched row (reference >= 48k columns) falls
 #      more than the margin below the same-run 10k-column row at the
 #      same backend/lanes (the column-tiling locality promise).  The
@@ -225,6 +230,50 @@ if serial_ctl and best_batched > 0.0 and wide & {"avx2", "avx512"}:
           f"(floor {floor_ratio:.2f})")
     if ratio < floor_ratio:
         failures.append("batched-vs-serial-ratio")
+
+# Production plan: each BM_BatchSdtwPlan row runs processMany() with
+# the default planInterleaved() rule at a width the workloads
+# dispatch.  It must keep up with the faster forced kernel at its
+# shape in the same run: the interleaved kernel padded to whole groups
+# (BM_BatchSdtw<simd>/<b>/<m>) or the single-read kernel
+# (BM_SingleSdtw<simd>/<m>).  A plan that picks the slower kernel, or
+# a b* table that no longer fits this host's kernels, fails here.
+single_measured = {}
+for bench in measured["benchmarks"]:
+    m = re.fullmatch(r"BM_SingleSdtw<(\w+)>/(\d+)", bench["name"])
+    if m and not bench.get("error_occurred"):
+        single_measured[(m.group(1), int(m.group(2)))] = \
+            bench["items_per_second"]
+pchecked = 0
+for bench in measured["benchmarks"]:
+    m = re.fullmatch(r"BM_BatchSdtwPlan<(\w+)>/(\d+)/(\d+)",
+                     bench["name"])
+    if not m or bench.get("error_occurred"):
+        continue
+    simd, lanes, ref = m.group(1), int(m.group(2)), int(m.group(3))
+    forced = batched_measured.get((simd, lanes, ref))
+    single = single_measured.get((simd, ref))
+    if not forced or not single:
+        print(f"  [FAIL] plan {simd} {lanes}x2000x{ref}: no same-run "
+              f"forced controls")
+        failures.append(f"plan-{simd}-{lanes}x{ref}-controls")
+        continue
+    control = max(forced, single)
+    kernel = "interleaved" if forced >= single else "single-read"
+    ratio = bench["items_per_second"] / control
+    floor_ratio = 1.0 - margin / 100.0
+    status = "OK " if ratio >= floor_ratio else "FAIL"
+    print(f"  [{status}] plan {simd} {lanes}x2000x{ref}: "
+          f"{bench['items_per_second']/1e9:.2f} G cells/s, {ratio:.2f}x "
+          f"the forced {kernel} kernel (floor {floor_ratio:.2f}; "
+          f"{int(bench.get('interleaved', 0))} of {lanes} reads "
+          f"interleaved, b* {int(bench.get('b_star', 0))})")
+    pchecked += 1
+    if ratio < floor_ratio:
+        failures.append(f"plan-{simd}-{lanes}x{ref}")
+if pchecked == 0 and single_measured:
+    sys.exit("bench gate matched no production-plan rows "
+             "(BM_BatchSdtwPlan missing?)")
 
 if failures:
     sys.exit(f"sdtw kernel regressed >{margin}% on: "
@@ -486,8 +535,9 @@ if measured.get("lane_batching") and \
     # Same-run dispatch-width comparison: pooling exists to fold
     # requests of different sessions in one dispatch, so the fleet's
     # dispatches must be wider than its own isolated runs'.  Lane
-    # occupancy cannot show this any more: single-read folds count
-    # one slot per job, so it reads 1.0 on both sides.
+    # occupancy cannot show this: single-read folds count one slot
+    # per job and padded interleaved folds pay for idle lanes, so it
+    # moves with the plan's kernel split, not with pooling.
     batch = measured["mean_batch"]
     iso = measured["isolated_mean_batch"]
     status = "OK " if batch > iso else "FAIL"

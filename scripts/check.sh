@@ -142,7 +142,7 @@ fi
 
 # Tier-1 verify, verbatim (see ROADMAP.md).
 cmake -B "${build_dir}" -S . "${configure_args[@]}"
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j"$(nproc)"
 
 if [[ "${mode}" == "smoke" ]]; then
     # Brief mode: run each test binary directly with minimal output.

@@ -164,6 +164,39 @@ summarise(const QuantSdtw::State &state)
     return result;
 }
 
+/**
+ * The plan's break-even width b* on a W-lane backend: the fewest reads
+ * whose interleaved fold, padded to one whole vector group, beats
+ * folding them one at a time with the single-read kernel,
+ * b* = ceil(W * r_single / r_interleaved).  The rates are medians of
+ * 7 repetitions of BM_SingleSdtw<simd>/12000 and the forced-
+ * interleaved BM_BatchSdtw<simd>/16/12000 in bench_micro_sdtw
+ * (M cells/s, AMD EPYC with AVX-512, 1 MiB L2 per core, gcc 12; both
+ * kernels hold their rate from 12k to 97k columns, tiled or not).
+ * Constants, not a run-time calibration: kernels are built per block
+ * of reads, and the plan only moves wall time, never a result.
+ * Returns SIZE_MAX for the scalar backend, which has no single-read
+ * kernel.
+ */
+std::size_t
+breakEvenLanes(SimdBackend backend)
+{
+    struct Rates
+    {
+        std::size_t single;
+        std::size_t interleaved;
+    };
+    Rates rates{};
+    switch (backend) {
+    case SimdBackend::Scalar: return SIZE_MAX;
+    case SimdBackend::Sse2: rates = {1324, 1705}; break;   // b* 4
+    case SimdBackend::Avx2: rates = {4519, 5657}; break;   // b* 7
+    case SimdBackend::Avx512: rates = {10762, 15818}; break; // b* 11
+    }
+    const std::size_t w = simdLaneWidth(backend);
+    return (w * rates.single + rates.interleaved - 1) / rates.interleaved;
+}
+
 } // namespace
 
 const char *
@@ -244,6 +277,7 @@ BatchSdtw::BatchSdtw(SdtwConfig config, std::size_t lane_capacity,
         std::max(kDefaultSerialCutover, width_ * 3 / 4);
     bonusUnit_ = Cost(std::llround(config.matchBonus));
     fold_ = resolveFold(backend_, config, config.matchBonus > 0.0);
+    interleaveMin_ = breakEvenLanes(backend_);
     // Strict parse: a malformed value is fatal (0 = auto-size).
     tileCols_ = envSize("SF_SDTW_TILE_COLS", tileCols_);
 }
@@ -267,10 +301,13 @@ BatchSdtw::planTileCols(std::size_t reference_len,
     std::size_t tile = tileCols_;
     if (tile == 0) {
         // Auto heuristic: size one tile's interleaved cost+dwell
-        // working set to about half the per-core L2, leaving the
-        // other half for the query block, carry slabs and the
-        // reference slice.  Floors keep a bogus cache reading from
-        // degenerating into per-column tiles.
+        // working set to an eighth of the per-core L2.  The tile is
+        // the interleaved scratch every kernel instance keeps, and
+        // the fold's cells/s measured flat from 1,024 to 6,553
+        // columns per tile (16 lanes, 1 MiB L2), so the smaller slab
+        // costs no speed; the rest of L2 holds the query block, carry
+        // slabs and the reference slice.  Floors keep a bogus cache
+        // reading from degenerating into per-column tiles.
         constexpr std::size_t kFallbackL2Bytes = 1u << 20;
         constexpr std::size_t kMinAutoTileCols = 1024;
         const std::size_t width =
@@ -279,7 +316,7 @@ BatchSdtw::planTileCols(std::size_t reference_len,
             width_ * width_;
         const std::size_t l2 = topo::level2CacheBytes();
         const std::size_t budget =
-            (l2 != 0 ? l2 : kFallbackL2Bytes) / 2;
+            (l2 != 0 ? l2 : kFallbackL2Bytes) / 8;
         const std::size_t bytes_per_col =
             width * (sizeof(Cost) + sizeof(std::uint8_t));
         tile = std::max(kMinAutoTileCols, budget / bytes_per_col);
@@ -288,22 +325,19 @@ BatchSdtw::planTileCols(std::size_t reference_len,
 }
 
 std::size_t
-BatchSdtw::planInterleaved(std::size_t reference_len,
-                           std::size_t lanes) const
+BatchSdtw::planInterleaved(std::size_t lanes) const
 {
     if (serialCutover_ <= 1)
         return lanes;
     if (fold_.foldRead == nullptr) // reference deletions, or scalar
         return lanes >= serialCutover_ ? lanes : 0;
-    // Genome scale goes single-read for memory, not speed.  A group
-    // that needs a tiled walk folds about as fast end to end as
-    // single-read (flowcell-lambda, 97k columns: same chunks/s either
-    // way), but would grow a W x m interleaved scratch in every kernel
-    // instance (peak RSS 157 -> 97 MB there).  The line moves with
-    // the detected L2 size, as the tile budget does.
-    if (planTileCols(reference_len, width_) != reference_len)
+    // Speed only: whole groups, plus the remainder padded to one more
+    // group when its reads fold faster interleaved than one at a time.
+    // The scratch is tile-sized either way, so memory plays no part.
+    if (interleaveMin_ > width_)
         return 0;
-    return lanes / width_ * width_;
+    const std::size_t whole = lanes / width_ * width_;
+    return lanes - whole >= interleaveMin_ ? lanes : whole;
 }
 
 void
@@ -334,7 +368,7 @@ BatchSdtw::processMany(std::span<BatchLane> lanes,
     // Every path is bit-identical to the serial engine; the plan only
     // decides which one wastes the fewest lanes.  Slot accounting:
     // see FoldStats.
-    const std::size_t wide = planInterleaved(reference.size(), lanes.size());
+    const std::size_t wide = planInterleaved(lanes.size());
     const std::span<BatchLane> rest = lanes.subspan(wide);
     foldStats_.laneJobs += lanes.size();
     if (wide > 0) {
@@ -356,6 +390,20 @@ BatchSdtw::processMany(std::span<BatchLane> lanes,
 }
 
 void
+BatchSdtw::startFresh(QuantSdtw::State &state, NormSample q0,
+                      std::span<const NormSample> reference) const
+{
+    // The subsequence free-start row, exactly as the serial engine
+    // builds it.
+    const std::size_t m = reference.size();
+    state.row.resize(m);
+    state.dwell.assign(m, 1);
+    for (std::size_t j = 0; j < m; ++j)
+        state.row[j] = engine_.pointCost(q0, reference[j]);
+    state.rowsDone = 1;
+}
+
+void
 BatchSdtw::runSingle(std::span<BatchLane> lanes,
                      std::span<const NormSample> reference)
 {
@@ -369,13 +417,7 @@ BatchSdtw::runSingle(std::span<BatchLane> lanes,
         QuantSdtw::State &state = *lane.state;
         std::span<const NormSample> query = lane.query;
         if (state.empty()) {
-            // Fresh start: the subsequence free-start row, exactly as
-            // the serial engine builds it.
-            state.row.resize(m);
-            state.dwell.assign(m, 1);
-            for (std::size_t j = 0; j < m; ++j)
-                state.row[j] = engine_.pointCost(query[0], reference[j]);
-            state.rowsDone = 1;
+            startFresh(state, query[0], reference);
             query = query.subspan(1);
         }
         fold_.foldRead(query.data(), query.size(), refWide_.data(), m,
@@ -397,8 +439,6 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
     const std::size_t width =
         (std::min(lanes.size(), capacity_) + width_ - 1) / width_ *
         width_;
-    rows_.resize(width * m);
-    dwell_.resize(width * m);
 
     // Column tiling (see batch.hpp): each round folds a *block* of
     // query rows, walking the reference in tile-sized column ranges
@@ -407,65 +447,91 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
     // instead of once per sweep.
     const std::size_t tile = planTileCols(m, lanes.size());
     const std::size_t tiles = (m + tile - 1) / tile;
+    // The interleaved scratch holds one tile.  Each lane's checkpoint
+    // state stays the home of its DP row: when the reference fits one
+    // tile the row is copied in once at load and out once at retire;
+    // otherwise every tile's columns are gathered from the in-flight
+    // lanes' states at tile entry and scattered back at its exit.
+    const bool resident = tiles == 1;
+    rows_.resize(width * tile);
+    dwell_.resize(width * tile);
 
     /** One in-flight slot of the interleaved layout. */
     struct Slot
     {
         std::ptrdiff_t lane = -1; //!< index into @p lanes, -1 = empty
         std::size_t cursor = 0;   //!< next query sample to fold
-        std::size_t rowsDone = 0; //!< total rows incl. resumed state
     };
     std::vector<Slot> slots(width);
     std::size_t nextLane = 0;
     std::size_t occupied = 0;
 
-    // Drain a finished slot back into its checkpoint state and
-    // summarise the final row, exactly as the serial engine does.
-    const auto retire = [&](std::size_t s) {
-        Slot &slot = slots[s];
-        BatchLane &lane = lanes[std::size_t(slot.lane)];
-        QuantSdtw::State &state = *lane.state;
-        state.row.resize(m);
-        state.dwell.resize(m);
-        for (std::size_t j = 0; j < m; ++j) {
-            state.row[j] = rows_[j * width + s];
-            state.dwell[j] = dwell_[j * width + s];
+    const auto stateOf = [&](std::size_t s) -> QuantSdtw::State & {
+        return *lanes[std::size_t(slots[s].lane)].state;
+    };
+    // Copy columns [j0, j0 + len) of the occupied slots in [s0, s1]
+    // between their checkpoint states and the slab, in column blocks
+    // small enough that a block's slab lines stay in L1 across the
+    // lane loop.
+    const auto transfer = [&](std::size_t j0, std::size_t len,
+                              std::size_t s0, std::size_t s1,
+                              bool to_slab) {
+        constexpr std::size_t kColBlock = 64;
+        for (std::size_t b0 = 0; b0 < len; b0 += kColBlock) {
+            const std::size_t b1 = std::min(len, b0 + kColBlock);
+            for (std::size_t s = s0; s <= s1; ++s) {
+                if (slots[s].lane < 0)
+                    continue;
+                QuantSdtw::State &state = stateOf(s);
+                Cost *row = state.row.data() + j0;
+                std::uint8_t *dw = state.dwell.data() + j0;
+                Cost *srow = rows_.data() + s;
+                std::uint8_t *sdw = dwell_.data() + s;
+                if (to_slab) {
+                    for (std::size_t j = b0; j < b1; ++j) {
+                        srow[j * width] = row[j];
+                        sdw[j * width] = dw[j];
+                    }
+                } else {
+                    for (std::size_t j = b0; j < b1; ++j) {
+                        row[j] = srow[j * width];
+                        dw[j] = sdw[j * width];
+                    }
+                }
+            }
         }
-        state.rowsDone = slot.rowsDone;
-        lane.result = summarise(state);
-        slot.lane = -1;
+    };
+
+    // Summarise a finished slot's checkpoint, exactly as the serial
+    // engine does, and free the slot.
+    const auto retire = [&](std::size_t s) {
+        if (resident)
+            transfer(0, m, s, s, /*to_slab=*/false);
+        BatchLane &lane = lanes[std::size_t(slots[s].lane)];
+        lane.result = summarise(*lane.state);
+        slots[s].lane = -1;
         --occupied;
     };
 
-    // Scatter a lane's checkpoint (or a fresh free-start row) into
-    // slot @p s.  Returns false if the lane had nothing to fold and
-    // retired on the spot.
+    // Put lane @p li into slot @p s; a fresh lane first gets its
+    // free-start row.  Returns false if the lane had nothing to fold
+    // and was summarised on the spot.
     const auto load = [&](std::size_t s, std::size_t li) {
-        Slot &slot = slots[s];
         BatchLane &lane = lanes[li];
         QuantSdtw::State &state = *lane.state;
-        slot.lane = std::ptrdiff_t(li);
+        std::size_t cursor = 0;
         if (state.empty()) {
-            const NormSample q0 = lane.query[0];
-            for (std::size_t j = 0; j < m; ++j) {
-                rows_[j * width + s] = engine_.pointCost(q0, reference[j]);
-                dwell_[j * width + s] = 1;
-            }
-            slot.cursor = 1;
-            slot.rowsDone = 1;
-        } else {
-            for (std::size_t j = 0; j < m; ++j) {
-                rows_[j * width + s] = state.row[j];
-                dwell_[j * width + s] = state.dwell[j];
-            }
-            slot.cursor = 0;
-            slot.rowsDone = state.rowsDone;
+            startFresh(state, lane.query[0], reference);
+            cursor = 1;
         }
-        ++occupied;
-        if (slot.cursor >= lane.query.size()) {
-            retire(s);
+        if (cursor >= lane.query.size()) {
+            lane.result = summarise(state);
             return false;
         }
+        slots[s] = Slot{std::ptrdiff_t(li), cursor};
+        ++occupied;
+        if (resident)
+            transfer(0, m, s, s, /*to_slab=*/true);
         return true;
     };
 
@@ -538,23 +604,25 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
                     std::int32_t(query[slot.cursor + t]);
         }
 
-        const bool tiled = tiles > 1;
-        if (tiled)
+        if (!resident)
             carry_.resize(sweeps.size() * detail::carrySlots(width));
         for (std::size_t ti = 0; ti < tiles; ++ti) {
             const std::size_t j0 = ti * tile;
             const std::size_t len = std::min(tile, m - j0);
+            if (!resident)
+                transfer(j0, len, 0, hi, /*to_slab=*/true);
             for (std::size_t si = 0; si < sweeps.size(); ++si) {
                 const Sweep &sw = sweeps[si];
                 sw.fn(qlane_.data() + sw.r0 * width,
                       reference.data() + j0, len, width, groups,
-                      rows_.data() + j0 * width,
-                      dwell_.data() + j0 * width, bonusUnit_, cap,
-                      tiled ? carry_.data() +
-                                  si * detail::carrySlots(width)
-                            : nullptr,
+                      rows_.data(), dwell_.data(), bonusUnit_, cap,
+                      resident ? nullptr
+                               : carry_.data() +
+                                     si * detail::carrySlots(width),
                       ti == 0);
             }
+            if (!resident)
+                transfer(j0, len, 0, hi, /*to_slab=*/false);
         }
         foldStats_.rowBlocks += 1;
         foldStats_.colTiles += tiles;
@@ -564,7 +632,7 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
             if (slot.lane < 0)
                 continue;
             slot.cursor += block;
-            slot.rowsDone += block;
+            stateOf(s).rowsDone += block;
             if (slot.cursor >=
                 lanes[std::size_t(slot.lane)].query.size())
                 retire(s);

@@ -20,9 +20,12 @@
  *    reference: dropping the S[i][j-1] move leaves row i depending
  *    only on row i-1, so W consecutive columns fold per instruction
  *    and no lane is ever idle.
- * Whole vector groups take the interleaved kernel when its untiled
- * working set fits the L2 budget; the remainder lanes, narrow
- * dispatches and genome-scale references take the single-read one.
+ * The plan is a speed rule: whole vector groups take the interleaved
+ * kernel, and so does a remainder (or a dispatch narrower than one
+ * group) of at least b* reads, padded to one more group — b* being
+ * the width at which the idle padded lanes cost less than the
+ * single-read kernel's lower rate (see planInterleaved()).  Narrower
+ * remainders take the single-read kernel, at every reference length.
  * Reference-deletion configs keep the interleaved kernel above the
  * serial cutover and the serial engine (sdtw/engine.hpp) below it, and
  * so does the 1-lane scalar backend: one lane has nothing to vectorise
@@ -46,10 +49,9 @@
  *
  * Column tiling keeps the interleaved kernel cache-resident when its
  * working set outgrows L2 (several vector groups in flight, or a
- * genome-scale reference forced through it by a test or bench): a
- * 16-lane batch against a ~97k-column reference owns ~8 MB of
- * interleaved state, so an untiled strip sweep streams it from DRAM
- * every 4 query rows.  The driver instead folds a *block* of query
+ * genome-scale reference): a 16-lane batch against a ~97k-column
+ * reference carries ~8 MB of DP state, so an untiled strip sweep
+ * would stream it from DRAM every 4 query rows.  The driver instead folds a *block* of query
  * rows per round and walks the reference in cache-sized column tiles,
  * finishing every sweep of the block on one tile before moving to the
  * next — each tile's cost/dwell columns are touched once per block
@@ -59,6 +61,13 @@
  * vs the untiled one.  The tile width defaults to a heuristic from
  * the detected per-core L2 size; SF_SDTW_TILE_COLS (or setTileCols())
  * overrides it, and a value >= the reference length disables tiling.
+ *
+ * The interleaved scratch is one tile wide.  Each lane's DP row lives
+ * in its QuantSdtw::State throughout: at a tile's entry the in-flight
+ * lanes' columns of that tile are gathered into the `[column][lane]`
+ * scratch, and at its exit scattered back, once per row block.  A
+ * kernel instance therefore holds W × tile bytes of interleaved state
+ * (scratchBytes()), never W × m, whatever the reference length.
  */
 
 #include <cstdint>
@@ -120,7 +129,10 @@ struct BatchLane
  * W-wide machine folding one read at a time without SIMD uses 1/W of
  * its lanes).  The ratio laneJobs/laneSlots is therefore the fraction
  * of the SIMD width doing useful work — the "lane occupancy" the fleet
- * stats snapshot and BENCH_fleet.json report.  Counters are plain
+ * stats snapshot and BENCH_fleet.json report.  It reads below 1
+ * whenever the plan pads a remainder of at least b* reads to a whole
+ * interleaved group (planInterleaved()): the padding lanes are paid
+ * for because a padded group still outruns single-read folds.  Counters are plain
  * integers (the hot path stays float-free); divide outside the kernel.
  */
 struct FoldStats
@@ -165,22 +177,27 @@ class BatchSdtw
      * cutover to max(kDefaultSerialCutover, 3 * laneWidth() / 4);
      * setSerialCutover() overrides.  On the SIMD backends, configs
      * without reference deletions ignore the cutover
-     * (planInterleaved() splits them by whole vector groups) unless it
-     * is forced to 0 or 1.
+     * (planInterleaved() splits them by b*) unless it is forced to 0
+     * or 1.
      */
     static constexpr std::size_t kDefaultSerialCutover = 4;
 
     /**
      * Query rows folded per block when the reference is tiled.  The
      * block bounds how many sweeps' worth of carry state a tile edge
-     * parks, and each tile's columns are streamed once per block —
-     * 256 rows cuts the interleaved-state memory traffic 64x vs the
-     * untiled strip-4 walk while the carry slabs stay a few tens of
-     * KB.  Retire/refill happens at block edges, which is semantically
+     * parks, and each tile's columns are gathered from the lanes'
+     * checkpoint rows into the scratch and scattered back once per
+     * block.  At 256 rows that transpose cost ~5% of the tiled fold's
+     * cells/s; at 512 it is within run-to-run noise (~2%), while the
+     * carry slabs (768 B per 4-row sweep at 16 lanes, touched only at
+     * tile edges) and the query block stay under 256 KB per kernel
+     * instance.  1024 rows measured no faster and cost flowcell-lambda
+     * another ~1 MB of peak RSS over its four oracle threads.
+     * Retire/refill happens at block edges, which is semantically
      * identical because a block never exceeds the in-flight lanes'
      * minimum remaining samples.
      */
-    static constexpr std::size_t kMaxBlockRows = 256;
+    static constexpr std::size_t kMaxBlockRows = 512;
 
     explicit BatchSdtw(SdtwConfig config = hardwareConfig(),
                        std::size_t lane_capacity = kDefaultLaneCapacity,
@@ -206,29 +223,35 @@ class BatchSdtw
     void setSerialCutover(std::size_t min_lanes);
 
     /**
-     * How many of a dispatch's @p lanes jobs against a
-     * @p reference_len-column reference processMany() folds with the
-     * interleaved kernel; it passes the first that many, and the rest
-     * go one read at a time — to the single-read kernel, or to the
-     * serial engine for reference-deletion configs and the scalar
+     * How many of a dispatch's @p lanes jobs processMany() folds with
+     * the interleaved kernel; it passes the first that many, and the
+     * rest go one read at a time — to the single-read kernel, or to
+     * the serial engine for reference-deletion configs and the scalar
      * backend.  The rule:
      *  - serial cutover forced to 0 or 1: all of them;
      *  - reference deletions, or the scalar backend: all of them at or
      *    above the cutover, none below;
-     *  - otherwise whole vector groups, and only while one group's
-     *    untiled working set fits the tile budget
-     *    (planTileCols(reference_len, laneWidth()) == reference_len);
-     *    genome-scale references go single-read entirely, which
-     *    spares the interleaved scratch at no measured throughput
-     *    cost.
+     *  - otherwise a speed rule: whole vector groups, plus the
+     *    remainder padded to one more group when it holds at least
+     *    interleaveMinLanes() reads (so a dispatch narrower than that
+     *    goes single-read entirely).  It holds at every reference
+     *    length: the interleaved scratch is one tile, not W × m.
      */
-    std::size_t planInterleaved(std::size_t reference_len,
-                                std::size_t lanes) const;
+    std::size_t planInterleaved(std::size_t lanes) const;
+
+    /**
+     * b*, the break-even width of planInterleaved() on this backend:
+     * the fewest reads that fold faster padded to one interleaved
+     * vector group than one at a time single-read,
+     * ceil(W × r_single ÷ r_interleaved) from a per-backend table of
+     * measured kernel rates (SIZE_MAX on the scalar backend).
+     */
+    std::size_t interleaveMinLanes() const { return interleaveMin_; }
 
     /**
      * Column-tile width override: 0 restores the auto heuristic
-     * (sized so one tile's interleaved cost/dwell working set fits in
-     * about half the detected per-core L2), any other value forces
+     * (sized so one tile's interleaved cost/dwell scratch fills about
+     * an eighth of the detected per-core L2), any other value forces
      * that many columns per tile — tests force tiny tiles, benches
      * force SIZE_MAX for an untiled A/B.  The SF_SDTW_TILE_COLS
      * environment knob sets the same override at construction.
@@ -252,6 +275,15 @@ class BatchSdtw
     std::size_t laneCapacity() const { return capacity_; }
     /** Cumulative SIMD-slot utilisation since construction. */
     const FoldStats &foldStats() const { return foldStats_; }
+    /**
+     * Bytes held by the interleaved cost+dwell scratch: at most
+     * width × planTileCols() × 5 for the widest fold so far, however
+     * long the reference.
+     */
+    std::size_t scratchBytes() const
+    {
+        return rows_.capacity() * sizeof(Cost) + dwell_.capacity();
+    }
 
   private:
     void validate(std::span<BatchLane> lanes,
@@ -260,6 +292,10 @@ class BatchSdtw
                     std::span<const NormSample> reference);
     void runSingle(std::span<BatchLane> lanes,
                    std::span<const NormSample> reference);
+    /** Write the subsequence free-start row for query sample @p q0
+        into a fresh @p state, exactly as the serial engine does. */
+    void startFresh(QuantSdtw::State &state, NormSample q0,
+                    std::span<const NormSample> reference) const;
 
     QuantSdtw engine_; //!< validates config; serial fallback path
     SimdBackend backend_;
@@ -267,11 +303,13 @@ class BatchSdtw
     std::size_t capacity_ = kDefaultLaneCapacity;
     std::size_t serialCutover_ = kDefaultSerialCutover;
     std::size_t tileCols_ = 0; //!< column-tile override, 0 = auto
+    std::size_t interleaveMin_ = SIZE_MAX; //!< b*, see planInterleaved
     FoldStats foldStats_{};
     Cost bonusUnit_ = 0;
     detail::FoldRowFns fold_{};
 
-    // Interleaved `[column][lane]` scratch, grown on demand.
+    // Interleaved `[column][lane]` scratch for one column tile, grown
+    // on demand.
     std::vector<Cost> rows_;
     std::vector<std::uint8_t> dwell_;
     std::vector<std::int32_t> qlane_;

@@ -352,8 +352,8 @@ SquiggleFilterClassifier::processBatch(
     // is capped so every worker thread gets work even for small
     // batches — thread fan-out beats SIMD occupancy when the two
     // compete (and a tiny block wastes no lanes anyway: the kernel
-    // folds reads short of a vector group one at a time, vectorised
-    // along the reference).
+    // folds fewer than b* reads one at a time, vectorised along the
+    // reference).
     const unsigned workers =
         max_threads != 0 ? max_threads
                          : std::max(1u, std::thread::hardware_concurrency());

@@ -121,7 +121,6 @@ class QosQueue
             // observability — a storm that saturates the queue shows
             // up here, never as a dropped chunk.
             ++slot.stalls;
-            ++stalls_;
         }
         notFull_.wait(lock, admitted_or_closed);
         if (closed_)
@@ -256,14 +255,6 @@ class QosQueue
                                           : 0;
     }
 
-    /** Total pushes that blocked, across every session. */
-    std::uint64_t
-    totalStalls() const
-    {
-        std::lock_guard lock(mutex_);
-        return stalls_;
-    }
-
     /** Items currently queued across both classes (racy; for tests). */
     std::size_t
     size() const
@@ -322,7 +313,6 @@ class QosQueue
     std::size_t statBurst_ = 1;
     std::size_t statStreak_ = 0; //!< consecutive Stat dispatches
     std::size_t total_ = 0;
-    std::uint64_t stalls_ = 0;   //!< pushes that blocked, all sessions
     bool closed_ = false;
 };
 

@@ -752,11 +752,10 @@ TEST(BatchSingleReadTest, BitIdenticalToSerialOnEveryBackend)
                 const auto serial = states;
 
                 BatchSdtw kernel(config, 8, backend);
-                // A forced one-column tile makes every reference look
-                // genome-scale, so the plan sends all three reads to
-                // the single-read kernel on every backend.
-                kernel.setTileCols(1);
-                ASSERT_EQ(kernel.planInterleaved(m, lanes.size()), 0u);
+                // Three reads are below b* on every SIMD backend, so
+                // the plan sends all of them to the single-read kernel.
+                ASSERT_LT(lanes.size(), kernel.interleaveMinLanes());
+                ASSERT_EQ(kernel.planInterleaved(lanes.size()), 0u);
                 kernel.processMany(lanes, ref);
                 EXPECT_EQ(kernel.foldStats().batchedCalls, 0u);
                 expectMatchesSerial(config, lanes, ref, serial,
@@ -770,6 +769,27 @@ TEST(BatchSingleReadTest, PlanSplitsDispatchesByKernel)
 {
     SdtwConfig refdel = hardwareConfig();
     refdel.allowReferenceDeletion = true;
+    // Whether dispatches of b reads folded interleaved (slots paid:
+    // whole groups, padded) at a reference length; tiny queries keep
+    // the genome-scale folds cheap.
+    const auto fold = [](BatchSdtw &kernel, std::size_t b,
+                         std::size_t m) {
+        Rng rng(0x91a7ULL ^ b ^ m);
+        const auto ref = randomQuantSignal(m, rng);
+        std::vector<std::vector<NormSample>> queries(b);
+        std::vector<QuantSdtw::State> states(b);
+        std::vector<BatchLane> lanes(b);
+        for (std::size_t i = 0; i < b; ++i) {
+            queries[i] = randomQuantSignal(2, rng);
+            lanes[i].state = &states[i];
+            lanes[i].query = queries[i];
+        }
+        const FoldStats before = kernel.foldStats();
+        kernel.processMany(lanes, ref);
+        return kernel.foldStats().laneSlots - before.laneSlots;
+    };
+    const std::size_t genome = std::size_t(1) << 17;
+
     for (SimdBackend backend : availableBackends()) {
         const std::size_t w = simdLaneWidth(backend);
         SCOPED_TRACE(simdBackendName(backend));
@@ -781,44 +801,147 @@ TEST(BatchSingleReadTest, PlanSplitsDispatchesByKernel)
             // Scalar: one lane has nothing to vectorise along the
             // reference, so every config keeps the serial engine
             // below the cutover and the interleaved kernel above it.
-            EXPECT_EQ(kernel.planInterleaved(4000, cut - 1), 0u);
-            EXPECT_EQ(kernel.planInterleaved(4000, cut), cut);
+            EXPECT_EQ(kernel.interleaveMinLanes(), SIZE_MAX);
+            EXPECT_EQ(kernel.planInterleaved(cut - 1), 0u);
+            EXPECT_EQ(kernel.planInterleaved(cut), cut);
             continue;
         }
-        kernel.setTileCols(SIZE_MAX); // any reference fits the budget
-        // Narrow dispatch: fewer reads than one vector group.
-        EXPECT_EQ(kernel.planInterleaved(4000, w - 1), 0u);
-        // Whole groups interleaved, the remainder single-read.
-        EXPECT_EQ(kernel.planInterleaved(4000, 2 * w + 3), 2 * w);
-        EXPECT_EQ(kernel.planInterleaved(4000, 2 * w), 2 * w);
+        // b*: a full group always beats single-read, one read never
+        // pays for a group.
+        const std::size_t bstar = kernel.interleaveMinLanes();
+        ASSERT_GT(bstar, 1u);
+        ASSERT_LE(bstar, w);
+        // Below b*: single-read entirely.  At b*: padded to one group.
+        EXPECT_EQ(kernel.planInterleaved(bstar - 1), 0u);
+        EXPECT_EQ(kernel.planInterleaved(bstar), bstar);
+        // Whole groups, and the remainder by the same test.
+        const std::size_t wide = 2 * w + 3;
+        const std::size_t want_wide = 3 >= bstar ? wide : 2 * w;
+        EXPECT_EQ(kernel.planInterleaved(wide), want_wide);
+        EXPECT_EQ(kernel.planInterleaved(2 * w), 2 * w);
+        EXPECT_EQ(kernel.planInterleaved(2 * w + bstar), 2 * w + bstar);
+        EXPECT_EQ(kernel.planInterleaved(2 * w + bstar - 1), 2 * w);
 
-        // Genome scale: once one group's working set needs tiling,
-        // every read goes single-read — forced tile, auto heuristic.
-        kernel.setTileCols(1000);
-        EXPECT_EQ(kernel.planInterleaved(4000, 2 * w), 0u);
-        EXPECT_EQ(kernel.planInterleaved(1000, 2 * w), 2 * w);
-        kernel.setTileCols(0);
-        const std::size_t genome = std::size_t(1) << 24;
+        // The same split at 4,000 columns and at genome scale, where
+        // the interleaved walk is tiled: slots paid are whole groups
+        // for the interleaved part plus one per single-read job.
         ASSERT_LT(kernel.planTileCols(genome, w), genome);
-        EXPECT_EQ(kernel.planInterleaved(genome, 2 * w), 0u);
+        for (const std::size_t m : {std::size_t(4000), genome}) {
+            SCOPED_TRACE(m);
+            EXPECT_EQ(fold(kernel, bstar - 1, m), bstar - 1);
+            EXPECT_EQ(fold(kernel, bstar, m), w);
+            EXPECT_EQ(fold(kernel, wide, m),
+                      (want_wide + w - 1) / w * w + (wide - want_wide));
+        }
 
-        // Forced cutover: everything interleaved, genome scale too.
+        // Forced cutover: everything interleaved.
         for (const std::size_t forced : {std::size_t(0), std::size_t(1)}) {
             kernel.setSerialCutover(forced);
-            EXPECT_EQ(kernel.planInterleaved(4000, 1), 1u);
-            EXPECT_EQ(kernel.planInterleaved(genome, 2 * w + 3),
-                      2 * w + 3);
+            EXPECT_EQ(kernel.planInterleaved(1), 1u);
+            EXPECT_EQ(kernel.planInterleaved(wide), wide);
         }
 
         // Reference deletions: today's serial/interleaved split at
         // the cutover, remainder lanes included above it.
         BatchSdtw rd(refdel, 32, backend);
-        EXPECT_EQ(rd.planInterleaved(4000, cut - 1), 0u);
-        EXPECT_EQ(rd.planInterleaved(4000, cut), cut);
-        EXPECT_EQ(rd.planInterleaved(4000, 2 * w + 3), 2 * w + 3);
-        EXPECT_EQ(rd.planInterleaved(genome, 2 * w + 3), 2 * w + 3);
+        EXPECT_EQ(rd.planInterleaved(cut - 1), 0u);
+        EXPECT_EQ(rd.planInterleaved(cut), cut);
+        EXPECT_EQ(rd.planInterleaved(wide), wide);
         rd.setSerialCutover(0);
-        EXPECT_EQ(rd.planInterleaved(4000, 1), 1u);
+        EXPECT_EQ(rd.planInterleaved(1), 1u);
+    }
+}
+
+TEST(BatchSingleReadTest, PaddedInterleavedFoldsBitIdenticalToSerial)
+{
+    // Dispatches the plan pads to whole interleaved groups (b* up to
+    // W - 1 reads, and a padded remainder past two whole groups, which
+    // overflows the 32-lane capacity and refills), under column tiles
+    // narrower than the reference.  Lanes mix fresh and resumed states
+    // and ragged lengths, including reads with nothing left to fold,
+    // so lanes retire and refill mid-dispatch.
+    for (SimdBackend backend : availableBackends()) {
+        const std::size_t w = simdLaneWidth(backend);
+        if (w == 1)
+            continue; // no single-read kernel, no padding rule
+        SCOPED_TRACE(simdBackendName(backend));
+        const std::size_t bstar = BatchSdtw(hardwareConfig(), 32, backend)
+                                      .interleaveMinLanes();
+        std::vector<std::size_t> widths;
+        for (std::size_t b = bstar; b < w; ++b)
+            widths.push_back(b);
+        widths.push_back(2 * w + bstar);
+        const std::size_t m = 301;
+        for (const SdtwConfig &config : singleReadConfigs()) {
+            const QuantSdtw engine(config);
+            for (const std::size_t b : widths) {
+                for (const std::size_t tile : {std::size_t(37), w + 1}) {
+                    Rng rng(0xbadd0ULL ^ (b << 8) ^ tile ^
+                            std::uint64_t(config.dwellCap));
+                    const auto ref = randomQuantSignal(m, rng);
+                    std::vector<QuantSdtw::State> states(b);
+                    std::vector<std::vector<NormSample>> queries(b);
+                    std::vector<BatchLane> lanes(b);
+                    for (std::size_t i = 0; i < b; ++i) {
+                        if (i % 2 == 1)
+                            engine.process(randomQuantSignal(4 + i, rng),
+                                           ref, states[i]);
+                        // Fresh lanes fold at least one sample; a
+                        // resumed lane may fold none.
+                        const int lo = i % 2 == 1 ? 0 : 1;
+                        queries[i] = randomQuantSignal(
+                            std::size_t(rng.uniformInt(lo, 70)), rng);
+                        lanes[i].state = &states[i];
+                        lanes[i].query = queries[i];
+                    }
+                    const auto serial = states;
+
+                    BatchSdtw kernel(config, 32, backend);
+                    kernel.setTileCols(tile);
+                    ASSERT_EQ(kernel.planInterleaved(b), b);
+                    kernel.processMany(lanes, ref);
+                    EXPECT_EQ(kernel.foldStats().batchedCalls, 1u);
+                    EXPECT_EQ(kernel.foldStats().laneSlots,
+                              (b + w - 1) / w * w);
+                    expectMatchesSerial(config, lanes, ref, serial,
+                                        "padded");
+                }
+            }
+        }
+    }
+}
+
+TEST(BatchSingleReadTest, InterleavedScratchIsOneTileAtGenomeScale)
+{
+    // A W-lane fold against a 1<<20-column reference keeps its
+    // interleaved scratch at one column tile: the lanes' rows live in
+    // their checkpoint states, not in a W x m kernel buffer.
+    const std::size_t m = std::size_t(1) << 20;
+    Rng rng(0x5c7a7cULL);
+    const auto ref = randomQuantSignal(m, rng);
+    for (SimdBackend backend : availableBackends()) {
+        const std::size_t w = simdLaneWidth(backend);
+        SCOPED_TRACE(simdBackendName(backend));
+        BatchSdtw kernel(hardwareConfig(), w, backend);
+        if (w == 1)
+            kernel.setSerialCutover(0);
+        ASSERT_EQ(kernel.scratchBytes(), 0u);
+        const std::size_t tile = kernel.planTileCols(m, w);
+        ASSERT_LT(tile, m);
+
+        std::vector<std::vector<NormSample>> queries(w);
+        std::vector<QuantSdtw::State> states(w);
+        std::vector<BatchLane> lanes(w);
+        for (std::size_t i = 0; i < w; ++i) {
+            queries[i] = randomQuantSignal(2, rng);
+            lanes[i].state = &states[i];
+            lanes[i].query = queries[i];
+        }
+        kernel.processMany(lanes, ref);
+        EXPECT_EQ(kernel.foldStats().batchedCalls, 1u);
+        EXPECT_EQ(kernel.scratchBytes(),
+                  w * tile * (sizeof(Cost) + sizeof(std::uint8_t)));
+        EXPECT_EQ(states[0].row.size(), m);
     }
 }
 

@@ -257,12 +257,14 @@ TEST(QosQueueTest, StormBurstOverCapacityBlocksAndNeverDrops)
                 << "item dropped or duplicated under the storm";
 
     // 120 pushes through a 4-slot queue with a delayed consumer: the
-    // burst must have blocked, and the ledger must have seen it.
-    EXPECT_GT(queue.totalStalls(), 0u);
-    std::uint64_t per_session = 0;
-    for (std::uint32_t id : ids)
-        per_session += queue.stalls(id);
-    EXPECT_EQ(per_session, queue.totalStalls());
+    // burst must have blocked, and the per-session ledger must have
+    // seen it, counting each push at most once.
+    std::uint64_t stalls = 0;
+    for (std::uint32_t id : ids) {
+        EXPECT_LE(queue.stalls(id), std::uint64_t(kPerProducer));
+        stalls += queue.stalls(id);
+    }
+    EXPECT_GT(stalls, 0u);
 }
 
 TEST(QosQueueTest, StatLatencyBoundHoldsMidStorm)
@@ -312,7 +314,7 @@ TEST(QosQueueTest, CloseDuringStormWakesAllBlockedProducers)
                 refused.fetch_add(1, std::memory_order_relaxed);
         });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_GT(queue.totalStalls(), 0u);
+    EXPECT_GT(queue.stalls(s), 0u);
     queue.close();
     for (std::thread &t : producers)
         t.join(); // a missed wakeup hangs right here
