@@ -82,7 +82,7 @@ fi
 
 cd "${repo_root}"
 cmake -B "${build_dir}" -S . >/dev/null
-cmake --build "${build_dir}" -j --target bench_fig17_read_until >/dev/null
+cmake --build "${build_dir}" -j"$(nproc)" --target bench_fig17_read_until >/dev/null
 
 report_dir="${build_dir}/bench_gate"
 mkdir -p "${report_dir}"
@@ -98,7 +98,7 @@ if grep -q '^benchmark_DIR:PATH=.*-NOTFOUND' \
     echo "sdtw kernel gate: SKIPPED (google-benchmark not available)" |
         tee -a "${summary}"
 else
-    cmake --build "${build_dir}" -j --target bench_micro_sdtw >/dev/null
+    cmake --build "${build_dir}" -j"$(nproc)" --target bench_micro_sdtw >/dev/null
     "${build_dir}/bench_micro_sdtw" --benchmark_format=json \
         --benchmark_min_time=0.2 >"${report_dir}/micro_sdtw.json"
     python3 - "$margin" "${report_dir}/micro_sdtw.json" <<'EOF' |
@@ -342,7 +342,7 @@ EOF
 fi
 
 # ---- 3. decision-backend gate (software vs modelled ASIC) --------- #
-cmake --build "${build_dir}" -j --target bench_backend >/dev/null
+cmake --build "${build_dir}" -j"$(nproc)" --target bench_backend >/dev/null
 backend_line="$({ "${build_dir}/bench_backend" |
     grep '^BENCH_BACKEND_JSON ' |
     sed 's/^BENCH_BACKEND_JSON //'; } || true)"
@@ -452,7 +452,7 @@ EOF
 fi
 
 # ---- 4. fleet serving gate ---------------------------------------- #
-cmake --build "${build_dir}" -j --target bench_fleet >/dev/null
+cmake --build "${build_dir}" -j"$(nproc)" --target bench_fleet >/dev/null
 fleet_line="$({ "${build_dir}/bench_fleet" |
     grep '^BENCH_FLEET_JSON ' |
     sed 's/^BENCH_FLEET_JSON //'; } || true)"

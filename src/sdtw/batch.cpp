@@ -168,33 +168,28 @@ summarise(const QuantSdtw::State &state)
  * The plan's break-even width b* on a W-lane backend: the fewest reads
  * whose interleaved fold, padded to one whole vector group, beats
  * folding them one at a time with the single-read kernel,
- * b* = ceil(W * r_single / r_interleaved).  The rates are medians of
- * 7 repetitions of BM_SingleSdtw<simd>/12000 and the forced-
- * interleaved BM_BatchSdtw<simd>/16/12000 in bench_micro_sdtw
- * (M cells/s, AMD EPYC with AVX-512, 1 MiB L2 per core, gcc 12; both
- * kernels hold their rate from 12k to 97k columns, tiled or not).
+ * b* = ceil(W * r_single / r_interleaved).  The rates (M cells/s) are
+ * medians of 7 repetitions of BM_SingleSdtw<simd>/12000 and the
+ * forced-interleaved BM_BatchSdtw<simd>/16/12000 in bench_micro_sdtw
+ * (AMD EPYC with AVX-512, 1 MiB L2 per core, gcc 12; both kernels hold
+ * their rate from 12k to 97k columns, tiled or not):
+ *   sse2    W  4: 1324 / 1705   -> ceil( 3.11) =  4
+ *   avx2    W  8: 4519 / 5657   -> ceil( 6.39) =  7
+ *   avx512  W 16: 10762 / 15818 -> ceil(10.89) = 11
  * Constants, not a run-time calibration: kernels are built per block
  * of reads, and the plan only moves wall time, never a result.
- * Returns SIZE_MAX for the scalar backend, which has no single-read
- * kernel.
+ * SIZE_MAX for the scalar backend, which has no single-read kernel.
  */
 std::size_t
 breakEvenLanes(SimdBackend backend)
 {
-    struct Rates
-    {
-        std::size_t single;
-        std::size_t interleaved;
-    };
-    Rates rates{};
     switch (backend) {
     case SimdBackend::Scalar: return SIZE_MAX;
-    case SimdBackend::Sse2: rates = {1324, 1705}; break;   // b* 4
-    case SimdBackend::Avx2: rates = {4519, 5657}; break;   // b* 7
-    case SimdBackend::Avx512: rates = {10762, 15818}; break; // b* 11
+    case SimdBackend::Sse2: return 4;
+    case SimdBackend::Avx2: return 7;
+    case SimdBackend::Avx512: return 11;
     }
-    const std::size_t w = simdLaneWidth(backend);
-    return (w * rates.single + rates.interleaved - 1) / rates.interleaved;
+    return SIZE_MAX;
 }
 
 } // namespace
@@ -334,8 +329,6 @@ BatchSdtw::planInterleaved(std::size_t lanes) const
     // Speed only: whole groups, plus the remainder padded to one more
     // group when its reads fold faster interleaved than one at a time.
     // The scratch is tile-sized either way, so memory plays no part.
-    if (interleaveMin_ > width_)
-        return 0;
     const std::size_t whole = lanes / width_ * width_;
     return lanes - whole >= interleaveMin_ ? lanes : whole;
 }
@@ -448,11 +441,9 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
     const std::size_t tile = planTileCols(m, lanes.size());
     const std::size_t tiles = (m + tile - 1) / tile;
     // The interleaved scratch holds one tile.  Each lane's checkpoint
-    // state stays the home of its DP row: when the reference fits one
-    // tile the row is copied in once at load and out once at retire;
-    // otherwise every tile's columns are gathered from the in-flight
-    // lanes' states at tile entry and scattered back at its exit.
-    const bool resident = tiles == 1;
+    // state stays the home of its DP row: every tile's columns are
+    // gathered from the in-flight lanes' states at tile entry and
+    // scattered back at its exit, once per row block.
     rows_.resize(width * tile);
     dwell_.resize(width * tile);
 
@@ -469,17 +460,16 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
     const auto stateOf = [&](std::size_t s) -> QuantSdtw::State & {
         return *lanes[std::size_t(slots[s].lane)].state;
     };
-    // Copy columns [j0, j0 + len) of the occupied slots in [s0, s1]
+    // Copy columns [j0, j0 + len) of the occupied slots in [0, hi]
     // between their checkpoint states and the slab, in column blocks
     // small enough that a block's slab lines stay in L1 across the
     // lane loop.
     const auto transfer = [&](std::size_t j0, std::size_t len,
-                              std::size_t s0, std::size_t s1,
-                              bool to_slab) {
+                              std::size_t hi, bool to_slab) {
         constexpr std::size_t kColBlock = 64;
         for (std::size_t b0 = 0; b0 < len; b0 += kColBlock) {
             const std::size_t b1 = std::min(len, b0 + kColBlock);
-            for (std::size_t s = s0; s <= s1; ++s) {
+            for (std::size_t s = 0; s <= hi; ++s) {
                 if (slots[s].lane < 0)
                     continue;
                 QuantSdtw::State &state = stateOf(s);
@@ -505,8 +495,6 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
     // Summarise a finished slot's checkpoint, exactly as the serial
     // engine does, and free the slot.
     const auto retire = [&](std::size_t s) {
-        if (resident)
-            transfer(0, m, s, s, /*to_slab=*/false);
         BatchLane &lane = lanes[std::size_t(slots[s].lane)];
         lane.result = summarise(*lane.state);
         slots[s].lane = -1;
@@ -530,8 +518,6 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
         }
         slots[s] = Slot{std::ptrdiff_t(li), cursor};
         ++occupied;
-        if (resident)
-            transfer(0, m, s, s, /*to_slab=*/true);
         return true;
     };
 
@@ -604,25 +590,23 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
                     std::int32_t(query[slot.cursor + t]);
         }
 
-        if (!resident)
+        if (tiles > 1)
             carry_.resize(sweeps.size() * detail::carrySlots(width));
         for (std::size_t ti = 0; ti < tiles; ++ti) {
             const std::size_t j0 = ti * tile;
             const std::size_t len = std::min(tile, m - j0);
-            if (!resident)
-                transfer(j0, len, 0, hi, /*to_slab=*/true);
+            transfer(j0, len, hi, /*to_slab=*/true);
             for (std::size_t si = 0; si < sweeps.size(); ++si) {
                 const Sweep &sw = sweeps[si];
                 sw.fn(qlane_.data() + sw.r0 * width,
                       reference.data() + j0, len, width, groups,
                       rows_.data(), dwell_.data(), bonusUnit_, cap,
-                      resident ? nullptr
-                               : carry_.data() +
-                                     si * detail::carrySlots(width),
+                      tiles > 1 ? carry_.data() +
+                                      si * detail::carrySlots(width)
+                                : nullptr,
                       ti == 0);
             }
-            if (!resident)
-                transfer(j0, len, 0, hi, /*to_slab=*/false);
+            transfer(j0, len, hi, /*to_slab=*/false);
         }
         foldStats_.rowBlocks += 1;
         foldStats_.colTiles += tiles;

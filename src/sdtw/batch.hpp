@@ -183,9 +183,9 @@ class BatchSdtw
     static constexpr std::size_t kDefaultSerialCutover = 4;
 
     /**
-     * Query rows folded per block when the reference is tiled.  The
-     * block bounds how many sweeps' worth of carry state a tile edge
-     * parks, and each tile's columns are gathered from the lanes'
+     * Query rows folded per interleaved block.  The block bounds how
+     * many sweeps' worth of carry state a tile edge parks, and each
+     * tile's columns are gathered from the lanes'
      * checkpoint rows into the scratch and scattered back once per
      * block.  At 256 rows that transpose cost ~5% of the tiled fold's
      * cells/s; at 512 it is within run-to-run noise (~2%), while the
